@@ -4,7 +4,8 @@
 # with a 5-second load-generator smoke. The fault and service tests also
 # run as part of the default suite; the extra passes keep them green even
 # when developers filter the first run (e.g. `-m "not slow"` via
-# PYTEST_ADDOPTS).
+# PYTEST_ADDOPTS). The paper-shape gates (Tables VIII-X, Fig. 2) and the
+# repo benchmark's self-tests run before the final shm leak guard.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -15,7 +16,7 @@ python -m pytest -x -q "$@"
 python -m pytest -x -q -m fault "$@"
 python -m pytest -x -q tests/test_service.py tests/test_packed_service.py \
     tests/test_shard_rings.py tests/test_router.py tests/test_design.py \
-    tests/test_variants.py "$@"
+    tests/test_variants.py tests/test_frontend.py "$@"
 python -m repro.service.client --smoke --clients 4 --duration 5 --packed
 python -m repro.service.client --smoke --clients 4 --duration 5 --no-packed
 # Sharded smokes: the result-ring hot path, then a 4-record ring that
@@ -37,6 +38,12 @@ python -m repro.variants --smoke
 # survivors; asserts byte-identity against a single-process server and
 # a routed `design` request checked before and after the rollover.
 python -m repro.service.router --smoke --duration 6
-# Every smoke above closed its tier; any surviving segment is a leak
-# and fails verification before the trap's cleanup can mask it.
+# Paper-shape gates: the Table VIII/IX/X and Fig. 2 shape assertions.
+python -m pytest benchmarks -q --benchmark-disable
+# Repo benchmark self-tests; they also pin the entry points its traced
+# run wraps (_handle_request, _timed_rpc and the design/variant globals).
+python -m pytest perfbench -q
+# Every smoke and test above closed its tier; any surviving segment
+# is a leak and fails verification before the trap's cleanup can mask
+# it.
 python -m repro.service.shards --guard

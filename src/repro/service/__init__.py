@@ -13,9 +13,13 @@ many-per-query asymmetry:
   micro-batching that stacks concurrent requests' guides into a single
   batched comparer launch over the resident index (the
   continuous-batching pattern of production inference servers);
+* :mod:`repro.service.frontend` — the JSON-lines connection loop,
+  serve/drain lifecycle, op-table dispatch and error-code mapping
+  that the server and the router share;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — an
   asyncio JSON-lines TCP server (stdlib only) exposing ``query``,
-  ``stats`` and ``health`` ops, plus a blocking client and a load
+  ``design``, ``enumerate``, ``variant``, ``enzymes``, ``stats``,
+  ``health`` and ``reload`` ops, plus a blocking client and a load
   generator;
 * :mod:`repro.service.shards` — :class:`~repro.service.shards.
   ShardedSiteIndex` partitions the resident index by chunk into N

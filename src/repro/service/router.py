@@ -1,10 +1,11 @@
 """Multi-host routing tier: partition by chromosome, stay byte-identical.
 
-:class:`OffTargetRouter` is an asyncio front end that speaks the same
-JSON-lines protocol as :class:`~repro.service.server.OffTargetServer`
-and fans each ``query`` out to a fleet of backend index servers, each
-holding a :class:`~repro.service.index.GenomeSiteIndex` over a subset
-of the genome's chromosomes.  It is the horizontal step after the
+:class:`OffTargetRouter` speaks the same JSON-lines protocol as
+:class:`~repro.service.server.OffTargetServer`, through the same
+:mod:`repro.service.frontend` loop and error mapping, and fans each
+``query`` out to a fleet of backend index servers, each holding a
+:class:`~repro.service.index.GenomeSiteIndex` over a subset of the
+genome's chromosomes.  It is the horizontal step after the
 in-host shard tier: shards partition *chunks inside one process*,
 the router partitions *chromosomes across processes and hosts*.
 
@@ -61,7 +62,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -75,10 +75,13 @@ from ..design.ranking import (decode_design_spec, design_payload,
                               rank_candidates, scoring_guide_length)
 from ..genome.assembly import Assembly
 from ..observability import tracing
-from ..variants.model import VariantError, decode_haplotypes
+from ..variants.model import decode_haplotypes
 from ..variants.overlay import sort_event_rows, variant_payload
-from .server import (MAX_LINE_BYTES, ServerHandle,
-                     _decode_chromosomes, _decode_queries)
+from .client import _decode_hits
+from .frontend import (MAX_LINE_BYTES, JsonLinesFrontEnd, WireError,
+                       decode_chromosomes, decode_deadline,
+                       decode_queries)
+from .scheduler import DeadlineExceeded
 
 #: Idle pooled connections kept per backend.
 POOL_MAX_IDLE = 8
@@ -95,26 +98,24 @@ SETTLED_IDS_KEPT = 4096
 
 _Conn = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
+#: A backend RPC's transport failures: lost or refused connections,
+#: timeouts, and responses that do not parse as a matching object.
+_TRANSPORT_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError,
+                     ValueError, json.JSONDecodeError)
 
-class RouterError(RuntimeError):
+
+class RouterError(WireError):
     """Base class for routing failures."""
 
 
 class _RouteUnavailable(RouterError):
     """No replica could serve a partition within the retry budget."""
 
-
-class _RouteDeadline(RouterError):
-    """A backend reported the request's deadline expired."""
+    code = "unavailable"
 
 
 class _RoutePassthrough(RouterError):
     """A backend error that must reach the client unchanged."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"[{code}] {message}")
-        self.code = code
-        self.message = message
 
 
 class _Backend:
@@ -238,7 +239,7 @@ def replica_plan(parts: Sequence[Sequence[str]], replication: int
     return out
 
 
-class OffTargetRouter:
+class OffTargetRouter(JsonLinesFrontEnd):
     """Chromosome-partitioning front end over N backend index servers.
 
     ``backends`` is a list of ``"host:port"`` specs (or pairs).
@@ -274,8 +275,7 @@ class OffTargetRouter:
         if eject_after < 1:
             raise ValueError(
                 f"eject_after must be >= 1, got {eject_after}")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self._backends = [
             _Backend(i, *parse_backend(spec))
             for i, spec in enumerate(backends)]
@@ -310,11 +310,7 @@ class OffTargetRouter:
         self._sub_latencies_ms: Deque[float] = deque(maxlen=512)
         self._settled_ids: Set[str] = set()
         self._settled_order: Deque[str] = deque()
-        self._stop_event: Optional[asyncio.Event] = None
-        self._draining = False
-        self._inflight = 0
         self._probe_task: Optional[asyncio.Task] = None
-        self._closed = False
 
     # -- connection pool ------------------------------------------------
 
@@ -388,8 +384,7 @@ class OffTargetRouter:
         try:
             response = await self._rpc(backend, payload,
                                        self.task_timeout_s)
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                ValueError, json.JSONDecodeError):
+        except _TRANSPORT_ERRORS:
             self._note_failure(backend)
             raise
         self._note_success(backend)
@@ -422,8 +417,7 @@ class OffTargetRouter:
                 timeout_s=self.probe_timeout_s)
             ok = bool(response.get("ok")) and \
                 response.get("status") in ("serving", "degraded")
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                ValueError, json.JSONDecodeError):
+        except _TRANSPORT_ERRORS:
             ok = False
             response = {}
         if not ok:
@@ -523,10 +517,7 @@ class OffTargetRouter:
         async def _await_loser() -> None:
             try:
                 await task
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    ValueError, json.JSONDecodeError):
-                return
-            except asyncio.CancelledError:
+            except (*_TRANSPORT_ERRORS, asyncio.CancelledError):
                 return
             if rid in self._settled_ids:
                 self._hedges_deduped += 1
@@ -572,9 +563,7 @@ class OffTargetRouter:
             for task in done:
                 try:
                     response = task.result()
-                except (ConnectionError, OSError,
-                        asyncio.TimeoutError, ValueError,
-                        json.JSONDecodeError) as exc:
+                except _TRANSPORT_ERRORS as exc:
                     last_exc = exc
                     continue
                 if hedge_task is not None:
@@ -617,163 +606,120 @@ class OffTargetRouter:
             try:
                 response = await self._hedged_rpc(primary, hedge_pool,
                                                   payload)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    ValueError, json.JSONDecodeError) as exc:
-                last = exc
-                if attempt + 1 < self.max_attempts:
-                    self._retries += 1
-                    tracing.instant("route_retry", cat="router",
-                                    backend=primary.label,
-                                    attempt=attempt + 1,
-                                    error=type(exc).__name__)
-                    await asyncio.sleep(delay)
-                    delay = min(delay * 2, self.backoff_cap_s)
-                continue
-            if response.get("ok"):
-                if validate is not None:
-                    problem = validate(response)
-                    if problem:
-                        last = ConnectionResetError(
-                            f"backend {primary.label} {problem}")
-                        continue
-                return response
-            code = response.get("error")
-            message = response.get("message", "")
-            if code == "overloaded":
+            except _TRANSPORT_ERRORS as exc:
+                last, reason = exc, type(exc).__name__
+            else:
+                if response.get("ok"):
+                    problem = validate(response) if validate else None
+                    if not problem:
+                        return response
+                    last = ConnectionResetError(
+                        f"backend {primary.label} {problem}")
+                    continue
+                code = response.get("error")
+                message = response.get("message", "")
+                if code == "deadline":
+                    # Never retried: the budget is spent either way.
+                    raise DeadlineExceeded(message)
+                if code != "overloaded":
+                    raise _RoutePassthrough(message, code or "internal")
                 # Typed overload: back off and try a replica.
                 last = _RouteUnavailable(
                     f"backend {primary.label} overloaded: {message}")
-                if attempt + 1 < self.max_attempts:
-                    self._retries += 1
-                    tracing.instant("route_retry", cat="router",
-                                    backend=primary.label,
-                                    attempt=attempt + 1,
-                                    error="overloaded")
-                    await asyncio.sleep(delay)
-                    delay = min(delay * 2, self.backoff_cap_s)
-                continue
-            if code == "deadline":
-                # Never retried: the budget is spent either way.
-                raise _RouteDeadline(message)
-            raise _RoutePassthrough(code or "internal", message)
+                reason = "overloaded"
+            if attempt + 1 < self.max_attempts:
+                self._retries += 1
+                tracing.instant("route_retry", cat="router",
+                                backend=primary.label,
+                                attempt=attempt + 1, error=reason)
+                await asyncio.sleep(delay)
+                delay = min(delay * 2, self.backoff_cap_s)
         raise _RouteUnavailable(
             f"partition {group.chromosomes} unavailable after "
             f"{self.max_attempts} attempt(s): {last}")
 
-    async def _group_request(self, group: _Group,
-                             raw_queries: Any,
-                             deadline_s: Optional[float]
-                             ) -> List[List[List[Any]]]:
-        """One partition's query sub-request.
-
-        Returns the partition's wire-format per-query hit rows.
-        """
-        payload_base: Dict[str, Any] = {
-            "op": "query", "queries": raw_queries,
-            "chromosomes": list(group.chromosomes)}
-        if deadline_s is not None:
-            payload_base["deadline_s"] = deadline_s
-        response = await self._sub_request(
-            group, payload_base,
-            validate=lambda r: (None if isinstance(r.get("hits"), list)
-                                else "sent a malformed query response"))
-        return response["hits"]
-
     # -- request handling ----------------------------------------------
 
     @staticmethod
-    def _failure_response(failures: Sequence[BaseException]
-                          ) -> Dict[str, Any]:
-        """Map fan-out failures to one client error, worst first."""
-        for exc in failures:
-            if isinstance(exc, _RoutePassthrough):
-                return {"ok": False, "error": exc.code,
-                        "message": exc.message}
-        for exc in failures:
-            if isinstance(exc, _RouteDeadline):
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-        for exc in failures:
-            if isinstance(exc, _RouteUnavailable):
-                return {"ok": False, "error": "unavailable",
-                        "message": str(exc)}
-        exc = failures[0]
-        if isinstance(exc, (asyncio.CancelledError,
-                            KeyboardInterrupt, SystemExit)):
-            raise exc
-        return {"ok": False, "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}"}
+    def _forward(request: Dict[str, Any], payload: Dict[str, Any]
+                 ) -> Dict[str, Any]:
+        """``payload`` plus the request's ``enzyme`` and ``deadline_s``
+        fields, which every backend sub-request carries through."""
+        for key in ("enzyme", "deadline_s"):
+            if request.get(key) is not None:
+                payload[key] = request[key]
+        return payload
+
+    @staticmethod
+    def _worst(failures: Sequence[BaseException]) -> BaseException:
+        """The fan-out failure the client sees, worst first."""
+        for kind in (_RoutePassthrough, DeadlineExceeded,
+                     _RouteUnavailable):
+            for exc in failures:
+                if isinstance(exc, kind):
+                    return exc
+        return failures[0]
 
     async def _fan_out(self, groups: Sequence[_Group],
-                       rank: Dict[str, int], raw_queries: Any,
-                       n_queries: int, deadline: Optional[float]
-                       ) -> Tuple[Optional[Dict[str, Any]],
-                                  List[List[List[Any]]]]:
+                       rank: Dict[str, int], payload_base: Dict[str, Any],
+                       n_queries: int) -> List[List[List[Any]]]:
         """Fan a query batch to every partition and merge the rows.
 
-        Returns ``(error_response, merged_rows)`` — exactly one is
-        meaningful.  The generalized deterministic merge: within one
-        chromosome all rows come from a single partition already in
-        single-server order, so a *stable* sort by chromosome rank
-        reproduces the global chunk-major order byte-for-byte.
+        The generalized deterministic merge: within one chromosome all
+        rows come from a single partition already in single-server
+        order, so a *stable* sort by chromosome rank reproduces the
+        global chunk-major order byte-for-byte.
         """
         results = await asyncio.gather(
-            *(self._group_request(group, raw_queries, deadline)
+            *(self._sub_request(
+                group,
+                dict(payload_base, chromosomes=list(group.chromosomes)),
+                validate=lambda r: (
+                    None if isinstance(r.get("hits"), list)
+                    else "sent a malformed query response"))
               for group in groups),
             return_exceptions=True)
         failures = [r for r in results if isinstance(r, BaseException)]
         if failures:
-            return self._failure_response(failures), []
+            raise self._worst(failures)
         merged: List[List[List[Any]]] = [[] for _ in range(n_queries)]
-        for partition_hits in results:
+        for partition_hits in (response["hits"] for response in results):
             if len(partition_hits) != n_queries:
-                return ({"ok": False, "error": "internal",
-                         "message": "partition answered "
-                                    f"{len(partition_hits)} queries, "
-                                    f"expected {n_queries}"}, [])
+                raise WireError(f"partition answered "
+                                f"{len(partition_hits)} queries, "
+                                f"expected {n_queries}")
             for per_query, rows in zip(merged, partition_hits):
                 per_query.extend(rows)
         for per_query in merged:
             per_query.sort(key=lambda row: rank.get(row[1], len(rank)))
-        return None, merged
+        return merged
 
-    def _route_guard(self) -> Optional[Dict[str, Any]]:
-        """The error response when the fleet cannot serve, else None."""
+    def _routing(self) -> Tuple[List[_Group], Dict[str, int]]:
+        """Snapshot of the routing table: (partitions, chromosome rank).
+
+        Raises :class:`_RouteUnavailable` when the fleet cannot serve.
+        """
         if self._uncovered:
-            return {"ok": False, "error": "unavailable",
-                    "message": f"no live backend serves "
-                               f"{self._uncovered}"}
+            raise _RouteUnavailable(
+                f"no live backend serves {self._uncovered}")
         if not self._groups:
-            return {"ok": False, "error": "unavailable",
-                    "message": "no live backends discovered"}
-        return None
+            raise _RouteUnavailable("no live backends discovered")
+        return list(self._groups), dict(self._rank)
 
     async def _handle_query(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
         raw_queries = request.get("queries")
-        try:
-            queries = _decode_queries(raw_queries)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
+        queries = decode_queries(raw_queries)
+        decode_deadline(request)
+        groups, rank = self._routing()
         with tracing.span("route_request", cat="router",
                           queries=len(queries),
                           partitions=len(groups)):
-            error, merged = await self._fan_out(
-                groups, rank, raw_queries, len(queries), deadline)
-        if error is not None:
-            return error
+            merged = await self._fan_out(
+                groups, rank,
+                self._forward(request, {"op": "query",
+                                        "queries": raw_queries}),
+                len(queries))
         self._requests += 1
         return {"ok": True, "hits": merged}
 
@@ -794,41 +740,23 @@ class OffTargetRouter:
            the in-process server uses, which is what makes a routed
            design response byte-identical to a single-server one.
         """
-        try:
-            spec = decode_design_spec(request)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
+        spec = decode_design_spec(request)
+        decode_deadline(request)
+        groups, rank = self._routing()
         owner = next((g for g in groups
                       if spec.chrom in g.chromosomes), None)
         if owner is None:
-            return {"ok": False, "error": "bad-request",
-                    "message": f"unknown chromosome {spec.chrom!r}: "
-                               f"no partition holds it"}
-        enum_payload = spec.to_request("enumerate")
+            raise ValueError(f"unknown chromosome {spec.chrom!r}: no "
+                             f"partition holds it")
         with tracing.span("route_design", cat="router",
                           chrom=spec.chrom, partitions=len(groups)):
-            try:
-                enum_response = await self._sub_request(
-                    owner, enum_payload,
-                    validate=lambda r: (
-                        None if isinstance(r.get("candidates"), list)
-                        and isinstance(r.get("queries"), list)
-                        else "sent a malformed enumerate response"))
-            except (_RoutePassthrough, _RouteDeadline,
-                    _RouteUnavailable) as exc:
-                return self._failure_response([exc])
+            enum_response = await self._sub_request(
+                owner, self._forward(request,
+                                     spec.to_request("enumerate")),
+                validate=lambda r: (
+                    None if isinstance(r.get("candidates"), list)
+                    and isinstance(r.get("queries"), list)
+                    else "sent a malformed enumerate response"))
             try:
                 candidates = decode_candidates(
                     enum_response["candidates"])
@@ -838,37 +766,29 @@ class OffTargetRouter:
                     guide_length=int(enum_response["guide_length"]),
                     pam=str(enum_response["pam"]))
             except (KeyError, TypeError, ValueError) as exc:
-                return {"ok": False, "error": "internal",
-                        "message": f"malformed enumerate response: "
-                                   f"{type(exc).__name__}: {exc}"}
+                raise WireError(f"malformed enumerate response: "
+                                f"{type(exc).__name__}: {exc}") from exc
             hits_by_query: Dict[str, List[OffTargetHit]] = {}
             if queries:
-                raw_queries = [[query, spec.max_mismatches]
-                               for query in queries]
-                error, merged = await self._fan_out(
-                    groups, rank, raw_queries, len(queries), deadline)
-                if error is not None:
-                    return error
+                merged = await self._fan_out(
+                    groups, rank,
+                    self._forward(request, {
+                        "op": "query",
+                        "queries": [[query, spec.max_mismatches]
+                                    for query in queries]}),
+                    len(queries))
                 try:
                     hits_by_query = {
-                        query: [OffTargetHit(
-                            query=str(row[0]), chrom=str(row[1]),
-                            position=int(row[2]), strand=str(row[4]),
-                            mismatches=int(row[5]), site=str(row[3]))
-                            for row in rows]
+                        query: _decode_hits(rows)
                         for query, rows in zip(queries, merged)}
                 except (IndexError, TypeError, ValueError) as exc:
-                    return {"ok": False, "error": "internal",
-                            "message": f"malformed hit row: "
-                                       f"{type(exc).__name__}: {exc}"}
-            try:
-                estimator = get_estimator(
-                    spec.estimator, scoring_guide_length(anatomy))
-                reports = rank_candidates(candidates, hits_by_query,
-                                          estimator, spec.top_n)
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
+                    raise WireError(f"malformed hit row: "
+                                    f"{type(exc).__name__}: {exc}"
+                                    ) from exc
+            estimator = get_estimator(
+                spec.estimator, scoring_guide_length(anatomy))
+            reports = rank_candidates(candidates, hits_by_query,
+                                      estimator, spec.top_n)
         self._requests += 1
         return {"ok": True,
                 **design_payload(anatomy, estimator, candidates,
@@ -894,20 +814,11 @@ class OffTargetRouter:
         """
         raw_queries = request.get("queries")
         raw_haplotypes = request.get("haplotypes")
-        try:
-            queries = _decode_queries(raw_queries)
-            haplotypes = decode_haplotypes(raw_haplotypes)
-            allowed = _decode_chromosomes(request.get("chromosomes"))
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        groups = list(self._groups)
-        rank = dict(self._rank)
-        order = [c for c, _ in sorted(rank.items(),
-                                      key=lambda item: item[1])]
+        queries = decode_queries(raw_queries)
+        haplotypes = decode_haplotypes(raw_haplotypes)
+        allowed = decode_chromosomes(request.get("chromosomes"))
+        groups, rank = self._routing()
+        order = list(rank)
         # A chromosome no partition holds would be skipped *silently*
         # by every backend (each sees a filter excluding it) — but a
         # single unfiltered server errors on it.  Pre-validate here so
@@ -922,25 +833,15 @@ class OffTargetRouter:
                 if allowed is not None and \
                         variant.chrom not in allowed:
                     continue
-                return {"ok": False, "error": "bad-request",
-                        "message": f"variant {variant.describe()} "
-                                   f"names chromosome "
-                                   f"{variant.chrom!r}, which no "
-                                   f"partition holds"}
+                raise ValueError(f"variant {variant.describe()} names "
+                                 f"chromosome {variant.chrom!r}, which "
+                                 f"no partition holds")
         plans: List[Tuple[_Group, List[str]]] = []
         for group in groups:
             chroms = [c for c in group.chromosomes
                       if allowed is None or c in allowed]
             if chroms:
                 plans.append((group, chroms))
-
-        def _make_payload(chroms: List[str]) -> Dict[str, Any]:
-            payload: Dict[str, Any] = {
-                "op": "variant", "queries": raw_queries,
-                "haplotypes": raw_haplotypes, "chromosomes": chroms}
-            if "enzyme" in request:
-                payload["enzyme"] = request["enzyme"]
-            return payload
 
         def _validate(response: Dict[str, Any]) -> Optional[str]:
             if not isinstance(response.get("events"), list) or \
@@ -954,13 +855,18 @@ class OffTargetRouter:
                           haplotypes=len(haplotypes),
                           partitions=len(plans)):
             results = await asyncio.gather(
-                *(self._sub_request(group, _make_payload(chroms),
-                                    validate=_validate)
+                *(self._sub_request(
+                    group,
+                    self._forward(request, {
+                        "op": "variant", "queries": raw_queries,
+                        "haplotypes": raw_haplotypes,
+                        "chromosomes": chroms}),
+                    validate=_validate)
                   for group, chroms in plans),
                 return_exceptions=True)
         failures = [r for r in results if isinstance(r, BaseException)]
         if failures:
-            return self._failure_response(failures)
+            raise self._worst(failures)
         events: List[List[Any]] = []
         reference_hits = [0] * len(queries)
         patched_chunks = 0
@@ -993,19 +899,12 @@ class OffTargetRouter:
     async def _handle_enzymes(self, request: Dict[str, Any]
                               ) -> Dict[str, Any]:
         """Forward the registry listing to any live backend."""
-        guard = self._route_guard()
-        if guard is not None:
-            return guard
-        group = self._groups[0]
-        try:
-            response = await self._sub_request(
-                group, {"op": "enzymes"},
-                validate=lambda r: (
-                    None if isinstance(r.get("enzymes"), list)
-                    else "sent a malformed enzymes response"))
-        except (_RoutePassthrough, _RouteDeadline,
-                _RouteUnavailable) as exc:
-            return self._failure_response([exc])
+        groups, _ = self._routing()
+        response = await self._sub_request(
+            groups[0], {"op": "enzymes"},
+            validate=lambda r: (
+                None if isinstance(r.get("enzymes"), list)
+                else "sent a malformed enzymes response"))
         response.pop("id", None)
         return response
 
@@ -1013,21 +912,15 @@ class OffTargetRouter:
                                ) -> Dict[str, Any]:
         raw = request.get("canaries")
         if raw is not None:
-            try:
-                _decode_queries(raw)
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
+            decode_queries(raw)
         results: List[Dict[str, Any]] = []
-        ok_all = True
         with tracing.span("fleet_rollover", cat="router",
                           backends=len(self._backends)):
             for backend in self._backends:
                 entry: Dict[str, Any] = {"backend": backend.label}
+                results.append(entry)
                 if not backend.alive:
                     entry.update(ok=False, error="down")
-                    ok_all = False
-                    results.append(entry)
                     continue
                 self._seq += 1
                 payload: Dict[str, Any] = {"op": "reload",
@@ -1038,14 +931,10 @@ class OffTargetRouter:
                     response = await self._rpc(
                         backend, payload,
                         timeout_s=self.reload_timeout_s)
-                except (ConnectionError, OSError,
-                        asyncio.TimeoutError, ValueError,
-                        json.JSONDecodeError) as exc:
+                except _TRANSPORT_ERRORS as exc:
                     self._note_failure(backend)
                     entry.update(ok=False,
                                  error=f"{type(exc).__name__}: {exc}")
-                    ok_all = False
-                    results.append(entry)
                     continue
                 entry["ok"] = bool(response.get("ok"))
                 for key in ("fingerprint", "previous_fingerprint",
@@ -1053,33 +942,32 @@ class OffTargetRouter:
                             "error", "message"):
                     if key in response:
                         entry[key] = response[key]
-                if not response.get("ok"):
-                    ok_all = False
                 # One at a time: re-probe (refreshing the fingerprint)
                 # before the next backend starts rebuilding, so the
                 # fleet always has its other replicas serving.
                 await self._probe(backend)
-                results.append(entry)
         self._rollovers += 1
         # ok means the op ran; ``complete`` is whether every backend
         # actually rolled (a dead one is reported, not fatal).
-        return {"ok": True, "complete": ok_all, "backends": results}
+        return {"ok": True,
+                "complete": all(entry["ok"] for entry in results),
+                "backends": results}
 
-    def _topology(self) -> Dict[str, Any]:
-        return {
+    async def _handle_topology(self, request: Dict[str, Any]
+                               ) -> Dict[str, Any]:
+        return {"ok": True, "topology": {
             "epoch": self._routing_epoch,
-            "chromosome_order": [
-                c for c, _ in sorted(self._rank.items(),
-                                     key=lambda item: item[1])],
+            "chromosome_order": list(self._rank),
             "partitions": [
                 {"chromosomes": list(g.chromosomes),
                  "backends": [b.label for b in g.backends]}
                 for g in self._groups],
             "uncovered": list(self._uncovered),
             "backends": [b.snapshot() for b in self._backends],
-        }
+        }}
 
-    def _stats(self) -> Dict[str, Any]:
+    async def _handle_stats(self, request: Dict[str, Any]
+                            ) -> Dict[str, Any]:
         lat = sorted(self._sub_latencies_ms)
 
         def pct(q: float) -> Optional[float]:
@@ -1088,7 +976,7 @@ class OffTargetRouter:
             return lat[min(len(lat) - 1,
                            int(round(q * (len(lat) - 1))))]
 
-        return {
+        return {"ok": True, "stats": {
             "requests": self._requests,
             "rollovers": self._rollovers,
             "retries": self._retries,
@@ -1110,209 +998,52 @@ class OffTargetRouter:
                 "p99": pct(0.99),
             },
             "hedge_delay_s": self._hedge_delay_s(),
+        }}
+
+    async def _handle_health(self, request: Dict[str, Any]
+                             ) -> Dict[str, Any]:
+        alive = sum(1 for b in self._backends if b.alive)
+        degraded = alive < len(self._backends) or bool(self._uncovered)
+        patterns = {b.pattern for b in self._backends
+                    if b.alive and b.pattern}
+        response: Dict[str, Any] = {
+            "ok": True,
+            "status": ("draining" if self._draining else
+                       "degraded" if degraded else "serving"),
+            "role": "router",
+            "backends_alive": alive,
+            "backends_total": len(self._backends),
+            "uncovered": list(self._uncovered),
         }
+        if len(patterns) == 1:
+            response["pattern"] = patterns.pop()
+        if self._rank:
+            response["chromosomes"] = [c for c in self._rank
+                                       if c not in self._uncovered]
+        return response
 
-    async def _handle_request(self, request: Dict[str, Any]
-                              ) -> Dict[str, Any]:
-        op = request.get("op")
-        if op == "query":
-            return await self._handle_query(request)
-        if op == "design":
-            return await self._handle_design(request)
-        if op == "variant":
-            return await self._handle_variant(request)
-        if op == "enzymes":
-            return await self._handle_enzymes(request)
-        if op == "health":
-            alive = sum(1 for b in self._backends if b.alive)
-            degraded = (alive < len(self._backends)
-                        or bool(self._uncovered))
-            patterns = {b.pattern for b in self._backends
-                        if b.alive and b.pattern}
-            response: Dict[str, Any] = {
-                "ok": True,
-                "status": ("draining" if self._draining else
-                           "degraded" if degraded else "serving"),
-                "role": "router",
-                "backends_alive": alive,
-                "backends_total": len(self._backends),
-                "uncovered": list(self._uncovered),
-            }
-            if len(patterns) == 1:
-                response["pattern"] = patterns.pop()
-            if self._rank:
-                response["chromosomes"] = [
-                    c for c, _ in sorted(self._rank.items(),
-                                         key=lambda item: item[1])
-                    if c not in self._uncovered]
-            return response
-        if op == "stats":
-            return {"ok": True, "stats": self._stats()}
-        if op == "topology":
-            return {"ok": True, "topology": self._topology()}
-        if op == "rollover":
-            return await self._handle_rollover(request)
-        return {"ok": False, "error": "unknown-op",
-                "message": f"unknown op {op!r}; expected query, "
-                           f"design, variant, enzymes, stats, health, "
-                           f"topology or rollover"}
+    # -- lifecycle hooks ------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                self._inflight += 1
-                try:
-                    try:
-                        request = json.loads(line)
-                        if not isinstance(request, dict):
-                            raise ValueError(
-                                "request must be a JSON object")
-                    except (ValueError, json.JSONDecodeError) as exc:
-                        response: Dict[str, Any] = {
-                            "ok": False, "error": "bad-json",
-                            "message": str(exc)}
-                    else:
-                        response = await self._handle_request(request)
-                        if "id" in request:
-                            response["id"] = request["id"]
-                    writer.write(
-                        json.dumps(response).encode("ascii", "replace")
-                        + b"\n")
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._inflight -= 1
-        except asyncio.CancelledError:
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    # -- lifecycle ------------------------------------------------------
-
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _begin_drain(self) -> None:
-        self._draining = True
-        self._request_stop()
-
-    async def _serve(self, ready=None, duration_s=None,
-                     ready_file=None) -> None:
-        import os as _os
-        import signal as _signal
-        self._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        signal_installed = False
-        try:
-            loop.add_signal_handler(_signal.SIGTERM, self._begin_drain)
-            signal_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
+    async def _starting(self) -> None:
         # Discover the fleet before announcing readiness, so a caller
         # that waited on the ready file sees a populated routing table.
         await asyncio.gather(*(self._probe(b) for b in self._backends),
                              return_exceptions=True)
         self._rebuild_routing()
         self._probe_task = asyncio.ensure_future(self._probe_loop())
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-            limit=MAX_LINE_BYTES)
-        self.port = server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready[2].append(self.port)
-            ready[1].set()
-        if ready_file:
-            # Atomic publish (see server._serve): pollers must never
-            # observe the empty create-to-write window.
-            part = ready_file + ".part"
-            with open(part, "w", encoding="ascii") as handle:
-                handle.write(f"{self.host} {self.port}\n")
-            _os.replace(part, ready_file)
-        try:
-            async with server:
-                if duration_s is not None:
-                    try:
-                        await asyncio.wait_for(self._stop_event.wait(),
-                                               timeout=duration_s)
-                    except asyncio.TimeoutError:
-                        pass
-                else:
-                    await self._stop_event.wait()
-        finally:
-            self._stop_event = None
-            if signal_installed:
-                loop.remove_signal_handler(_signal.SIGTERM)
-            if self._draining:
-                deadline = loop.time() + 5.0
-                while self._inflight > 0 and loop.time() < deadline:
-                    await asyncio.sleep(0.02)
+
+    async def _stopping(self) -> None:
+        if self._probe_task is not None:
             self._probe_task.cancel()
             await asyncio.gather(self._probe_task,
                                  return_exceptions=True)
             self._probe_task = None
-            self._close_pools()
-            current = asyncio.current_task()
-            pending = [task for task in asyncio.all_tasks()
-                       if task is not current and not task.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            if ready_file:
-                try:
-                    _os.unlink(ready_file)
-                except OSError:
-                    pass
+        self._close_pools()
 
-    def run(self, duration_s: Optional[float] = None,
-            ready_file: Optional[str] = None) -> None:
-        """Route on the calling thread until stopped (or SIGTERM)."""
-        try:
-            asyncio.run(self._serve(duration_s=duration_s,
-                                    ready_file=ready_file))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
-    def start_background(self) -> ServerHandle:
-        """Route on a daemon thread; returns a handle with the port."""
-        ready = threading.Event()
-        ports: List[int] = []
-        loop = asyncio.new_event_loop()
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    self._serve(ready=(self.host, ready, ports)))
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="service-router",
-                                  daemon=True)
-        thread.start()
-        if not ready.wait(timeout=30.0):
-            raise RuntimeError("router failed to start within 30 s")
-        return ServerHandle(host=self.host, port=ports[0],
-                            _server=self, _thread=thread, _loop=loop)
-
-    def close(self) -> None:
-        self._closed = True
+    ops = {"query": _handle_query, "design": _handle_design,
+           "variant": _handle_variant, "enzymes": _handle_enzymes,
+           "stats": _handle_stats, "health": _handle_health,
+           "topology": _handle_topology, "rollover": _handle_rollover}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Asyncio JSON-lines TCP front end over the batch scheduler.
 
-Stdlib only: one :func:`asyncio.start_server` accept loop, one JSON
-object per line in each direction.  Requests carry an ``op`` —
+Stdlib only.  The JSON-lines connection loop, the serve/drain
+lifecycle and the exception-to-error-code mapping live in
+:mod:`repro.service.frontend`; this module declares the server's op
+table.  Requests carry an ``op`` —
 
 * ``query``: ``{"op": "query", "queries": [["GACGTCNN", 3], ...],
   "deadline_s": 0.5}`` → per-query hit lists; an optional
@@ -46,9 +48,9 @@ back-off-and-retry from bugs.
 The accept loop never blocks on the comparer: each connection awaits
 its scheduler future via :func:`asyncio.wrap_future`, so slow batches
 only delay their own requesters while other connections keep being
-served.  :meth:`OffTargetServer.start_background` runs the whole server
-in a daemon thread with its own event loop — the shape the tests and
-the load generator use.
+served.  ``start_background`` runs the whole server in a daemon thread
+with its own event loop — the shape the tests and the load generator
+use.
 
 Two robustness hooks serve the routing tier:
 
@@ -65,11 +67,8 @@ Two robustness hooks serve the routing tier:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import signal
 import threading
-from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
@@ -81,18 +80,12 @@ from ..design.ranking import (decode_design_spec, design_payload,
 from ..design.estimators import get_estimator
 from ..enzymes import CasEnzyme
 from ..observability import faults, tracing
-from ..variants.model import VariantError, decode_haplotypes
+from ..variants.model import decode_haplotypes
 from ..variants.overlay import search_variants
+from .frontend import (JsonLinesFrontEnd, WireError, decode_chromosomes,
+                       decode_deadline, decode_queries)
 from .index import GenomeSiteIndex
-from .scheduler import (BatchScheduler, DeadlineExceeded,
-                        SchedulerClosed, ServiceOverloaded)
-
-#: Refuse absurd single lines before json.loads sees them.
-MAX_LINE_BYTES = 1 << 20
-
-#: Sentinel returned by the fault applier when the connection should
-#: be dropped without a response (a half-open connection).
-_DROP_CONNECTION: Dict[str, Any] = {"_drop": True}
+from .scheduler import BatchScheduler, DeadlineExceeded, SchedulerClosed
 
 
 def _encode_hits(hits: List[OffTargetHit]) -> List[List[Any]]:
@@ -100,76 +93,7 @@ def _encode_hits(hits: List[OffTargetHit]) -> List[List[Any]]:
              int(h.mismatches)] for h in hits]
 
 
-def _decode_queries(raw: Any) -> List[Query]:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("'queries' must be a non-empty list of "
-                         "[sequence, max_mismatches] pairs")
-    queries = []
-    for item in raw:
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not isinstance(item[0], str)
-                or isinstance(item[1], bool)
-                or not isinstance(item[1], int)):
-            raise ValueError(
-                f"bad query entry {item!r}: expected "
-                f"[sequence, max_mismatches]")
-        if item[1] < 0:
-            raise ValueError(
-                f"max_mismatches must be >= 0, got {item[1]}")
-        queries.append(Query(sequence=item[0].upper(),
-                             max_mismatches=item[1]))
-    return queries
-
-
-def _decode_chromosomes(raw: Any) -> Optional[FrozenSet[str]]:
-    """Validate an optional per-request chromosome filter."""
-    if raw is None:
-        return None
-    if (not isinstance(raw, list) or not raw
-            or not all(isinstance(c, str) for c in raw)):
-        raise ValueError("'chromosomes' must be a non-empty list of "
-                         "chromosome names")
-    return frozenset(raw)
-
-
-@dataclass
-class ServerHandle:
-    """A running background server: address plus a way to stop it."""
-
-    host: str
-    port: int
-    _server: "OffTargetServer"
-    _thread: threading.Thread
-    _loop: asyncio.AbstractEventLoop
-
-    def stop(self) -> None:
-        loop, thread = self._loop, self._thread
-        if thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(self._server._request_stop)
-            except RuntimeError:
-                pass  # loop already closed: the thread is finishing
-            thread.join(timeout=10.0)
-        self._server.close()
-
-    def drain(self, timeout_s: float = 15.0) -> None:
-        """Gracefully drain: stop accepting, finish admitted requests.
-
-        The in-process analog of sending the server SIGTERM; used by
-        tests and the router smoke to exercise the drain path without
-        a subprocess.
-        """
-        loop, thread = self._loop, self._thread
-        if thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(self._server._begin_drain)
-            except RuntimeError:
-                pass
-            thread.join(timeout=timeout_s)
-        self._server.close()
-
-
-class OffTargetServer:
+class OffTargetServer(JsonLinesFrontEnd):
     """JSON-lines TCP server over one resident :class:`GenomeSiteIndex`."""
 
     def __init__(self, index: GenomeSiteIndex, host: str = "127.0.0.1",
@@ -181,15 +105,13 @@ class OffTargetServer:
                  drain_s: float = 5.0,
                  enzymes: Optional[Sequence[
                      Tuple[CasEnzyme, GenomeSiteIndex]]] = None):
+        super().__init__(host, port)
         self.index = index
-        self.host = host
-        self.port = port  # 0 = ephemeral; bound port set once listening
         self.scheduler = BatchScheduler(index, max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
                                         max_queue=max_queue,
                                         adaptive=adaptive,
                                         direct_below=direct_below)
-        self._stop_event: Optional[asyncio.Event] = None
         self._closed = False
         #: Builds/loads a replacement index for the ``reload`` op.
         self._reloader = reloader
@@ -201,10 +123,7 @@ class OffTargetServer:
                 request_fault_plan))
             if request_fault_plan else None)
         self._request_seq = 0
-        #: Graceful-shutdown budget for in-flight requests (seconds).
         self.drain_s = float(drain_s)
-        self._draining = False
-        self._inflight = 0
         #: Alternate enzymes: name -> (enzyme, index, scheduler).
         #: Requests naming no enzyme keep hitting the default index.
         self._enzymes: Dict[str, Tuple[CasEnzyme, GenomeSiteIndex,
@@ -232,106 +151,77 @@ class OffTargetServer:
 
     # -- request handling ----------------------------------------------
 
-    async def _handle_request(self, request: Dict[str, Any]
-                              ) -> Optional[Dict[str, Any]]:
-        op = request.get("op")
-        if op == "health":
-            response = {"ok": True,
-                        "status": ("draining" if self._draining
-                                   else "serving"),
-                        "genome": self.index.assembly.name,
-                        "pattern": self.index.pattern,
-                        "chunks": self.index.chunk_count,
-                        "sites": self.index.site_count}
-            chroms = getattr(self.index, "chromosomes", None)
-            if chroms is not None:
-                response["chromosomes"] = list(chroms)
-            fingerprint = getattr(self.index, "fingerprint", None)
-            if callable(fingerprint):
-                response["fingerprint"] = fingerprint()
-            shard_health = getattr(self.index, "shard_health", None)
-            if shard_health is not None:
-                response["shards"] = shard_health()
-            degraded = getattr(self.index, "degraded", None)
-            if degraded is not None:
-                response["degraded"] = bool(degraded)
-                if degraded:
-                    response["degrade_reason"] = getattr(
-                        self.index, "degrade_reason", None)
-            if self._enzymes:
-                response["enzymes"] = sorted(self._enzymes)
-            return response
-        if op == "stats":
-            return {"ok": True, "stats": self.scheduler.stats()}
-        if op == "reload":
-            return await self._handle_reload(request)
-        if op == "enzymes":
-            return self._handle_enzymes()
-        if op == "variant":
-            return await self._handle_variant(request)
-        if op == "enumerate":
-            return self._handle_enumerate(request)
-        if op == "design":
-            return await self._handle_design(request)
-        if op == "query":
-            if self._request_injector is not None:
-                outcome = await self._apply_request_fault()
-                if outcome is _DROP_CONNECTION:
-                    return None  # half-open: close without responding
-                if outcome is not None:
-                    return outcome
-            try:
-                _, _, scheduler = self._resolve_enzyme(request)
-                queries = _decode_queries(request.get("queries"))
-                allowed = _decode_chromosomes(
-                    request.get("chromosomes"))
-                deadline = request.get("deadline_s")
-                if deadline is not None and (
-                        isinstance(deadline, bool)
-                        or not isinstance(deadline, (int, float))):
-                    raise ValueError(
-                        f"deadline_s must be a number, got "
-                        f"{deadline!r}")
-                future = scheduler.submit(queries,
-                                          deadline_s=deadline)
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
-            except ServiceOverloaded as exc:
-                return {"ok": False, "error": "overloaded",
-                        "message": str(exc)}
-            except DeadlineExceeded as exc:
-                # Already expired at submit: fail fast, same error
-                # code clients see for an in-queue expiry.
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            try:
-                results = await asyncio.wrap_future(future)
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            except Exception as exc:  # noqa: BLE001 - report, keep serving
-                return {"ok": False, "error": "internal",
-                        "message": f"{type(exc).__name__}: {exc}"}
-            if allowed is not None:
-                # Order-preserving subsequence: hits of the allowed
-                # chromosomes keep their single-server relative order,
-                # which is what lets a router reassemble partitions
-                # byte-identically.
-                results = [[hit for hit in per if hit.chrom in allowed]
-                           for per in results]
-            return {"ok": True,
-                    "hits": [_encode_hits(per) for per in results]}
-        return {"ok": False, "error": "unknown-op",
-                "message": f"unknown op {op!r}; expected query, design, "
-                           f"enumerate, variant, enzymes, stats, "
-                           f"health or reload"}
+    async def _handle_health(self, request: Dict[str, Any]
+                             ) -> Dict[str, Any]:
+        response = {"ok": True,
+                    "status": ("draining" if self._draining
+                               else "serving"),
+                    "genome": self.index.assembly.name,
+                    "pattern": self.index.pattern,
+                    "chunks": self.index.chunk_count,
+                    "sites": self.index.site_count}
+        chroms = getattr(self.index, "chromosomes", None)
+        if chroms is not None:
+            response["chromosomes"] = list(chroms)
+        fingerprint = getattr(self.index, "fingerprint", None)
+        if callable(fingerprint):
+            response["fingerprint"] = fingerprint()
+        shard_health = getattr(self.index, "shard_health", None)
+        if shard_health is not None:
+            response["shards"] = shard_health()
+        degraded = getattr(self.index, "degraded", None)
+        if degraded is not None:
+            response["degraded"] = bool(degraded)
+            if degraded:
+                response["degrade_reason"] = getattr(
+                    self.index, "degrade_reason", None)
+        if self._enzymes:
+            response["enzymes"] = sorted(self._enzymes)
+        return response
+
+    async def _handle_stats(self, request: Dict[str, Any]
+                            ) -> Dict[str, Any]:
+        return {"ok": True, "stats": self.scheduler.stats()}
+
+    async def _handle_query(self, request: Dict[str, Any]
+                            ) -> Optional[Dict[str, Any]]:
+        if self._request_injector is not None and \
+                await self._apply_request_fault():
+            return None  # half-open: close without responding
+        _, _, scheduler = self._resolve_enzyme(request)
+        queries = decode_queries(request.get("queries"))
+        allowed = decode_chromosomes(request.get("chromosomes"))
+        results = await self._run_batch(scheduler, queries,
+                                        decode_deadline(request))
+        if allowed is not None:
+            # Order-preserving subsequence: hits of the allowed
+            # chromosomes keep their single-server relative order,
+            # which is what lets a router reassemble partitions
+            # byte-identically.
+            results = [[hit for hit in per if hit.chrom in allowed]
+                       for per in results]
+        return {"ok": True,
+                "hits": [_encode_hits(per) for per in results]}
+
+    @staticmethod
+    async def _run_batch(scheduler: BatchScheduler,
+                         queries: List[Query], deadline: Optional[float],
+                         kind: str = "query"
+                         ) -> List[List[OffTargetHit]]:
+        """Submit one request to ``scheduler`` and await its hits.
+
+        Submit-time failures keep their own type (bad request,
+        overload, expired deadline, closed); a batch failure other
+        than an in-queue expiry or a close is a server fault, reported
+        as ``internal`` even when its type is a ``ValueError``.
+        """
+        future = scheduler.submit(queries, deadline_s=deadline, kind=kind)
+        try:
+            return await asyncio.wrap_future(future)
+        except (DeadlineExceeded, SchedulerClosed):
+            raise
+        except Exception as exc:  # noqa: BLE001 - report, keep serving
+            raise WireError(f"{type(exc).__name__}: {exc}") from exc
 
     # -- enzyme registry ------------------------------------------------
 
@@ -356,7 +246,21 @@ class OffTargetServer:
                 f"unknown enzyme {name!r}; this server hosts: {known}")
         return entry
 
-    def _handle_enzymes(self) -> Dict[str, Any]:
+    def _enumerate(self, request: Dict[str, Any]) -> Tuple[Any, ...]:
+        """The design ops' shared first stage: (scheduler, spec,
+        anatomy, candidates, queries) for the request's region, on the
+        index of its enzyme — which must have a 3prime PAM."""
+        enzyme, index, scheduler = self._resolve_enzyme(request)
+        if enzyme is not None and not enzyme.designable:
+            raise ValueError(
+                f"enzyme {enzyme.name!r} has a 5prime PAM; guide "
+                f"design requires a 3prime-PAM pattern")
+        spec = decode_design_spec(request)
+        return (scheduler, spec,
+                *enumerate_for_design(index.assembly, index.pattern, spec))
+
+    async def _handle_enzymes(self, request: Dict[str, Any]
+                              ) -> Dict[str, Any]:
         """Declarative registry listing — the ``enzymes`` op."""
         entries = []
         for name in sorted(self._enzymes):
@@ -383,28 +287,13 @@ class OffTargetServer:
         comparer work because executor threads bypass the scheduler's
         one-worker serialization.
         """
-        try:
-            _, _, scheduler = self._resolve_enzyme(request)
-            queries = _decode_queries(request.get("queries"))
-            haplotypes = decode_haplotypes(request.get("haplotypes"))
-            allowed = _decode_chromosomes(request.get("chromosomes"))
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                None, self._variant_sync, scheduler, queries,
-                haplotypes, allowed)
-        except (VariantError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
-        except SchedulerClosed as exc:
-            return {"ok": False, "error": "closed",
-                    "message": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - keep serving
-            return {"ok": False, "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}"}
+        _, _, scheduler = self._resolve_enzyme(request)
+        queries = decode_queries(request.get("queries"))
+        haplotypes = decode_haplotypes(request.get("haplotypes"))
+        allowed = decode_chromosomes(request.get("chromosomes"))
+        result = await asyncio.get_running_loop().run_in_executor(
+            None, self._variant_sync, scheduler, queries, haplotypes,
+            allowed)
         scheduler.count_request("variant")
         return {"ok": True, **result.payload()}
 
@@ -418,26 +307,15 @@ class OffTargetServer:
 
     # -- guide design ---------------------------------------------------
 
-    def _handle_enumerate(self, request: Dict[str, Any]
-                          ) -> Dict[str, Any]:
+    async def _handle_enumerate(self, request: Dict[str, Any]
+                                ) -> Dict[str, Any]:
         """Candidate protospacers for a region, on the wire.
 
         Pure and synchronous (no comparer work): the routing tier
         calls this on a backend that holds the target chromosome,
         then fans the returned queries out like any query batch.
         """
-        try:
-            enzyme, index, _ = self._resolve_enzyme(request)
-            if enzyme is not None and not enzyme.designable:
-                raise ValueError(
-                    f"enzyme {enzyme.name!r} has a 5prime PAM; guide "
-                    f"design requires a 3prime-PAM pattern")
-            spec = decode_design_spec(request)
-            anatomy, candidates, queries = enumerate_for_design(
-                index.assembly, index.pattern, spec)
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
+        _, _, anatomy, candidates, queries = self._enumerate(request)
         return {"ok": True,
                 **enumerate_payload(anatomy, candidates, queries)}
 
@@ -450,57 +328,18 @@ class OffTargetServer:
         same single-scan invariant :func:`repro.design.design_guides`
         keeps in-process.
         """
-        try:
-            enzyme, index, scheduler = self._resolve_enzyme(request)
-            if enzyme is not None and not enzyme.designable:
-                raise ValueError(
-                    f"enzyme {enzyme.name!r} has a 5prime PAM; guide "
-                    f"design requires a 3prime-PAM pattern")
-            spec = decode_design_spec(request)
-            deadline = request.get("deadline_s")
-            if deadline is not None and (
-                    isinstance(deadline, bool)
-                    or not isinstance(deadline, (int, float))):
-                raise ValueError(
-                    f"deadline_s must be a number, got {deadline!r}")
-            anatomy, candidates, queries = enumerate_for_design(
-                index.assembly, index.pattern, spec)
-            estimator = get_estimator(spec.estimator,
-                                      scoring_guide_length(anatomy))
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
+        deadline = decode_deadline(request)
+        scheduler, spec, anatomy, candidates, queries = \
+            self._enumerate(request)
+        estimator = get_estimator(spec.estimator,
+                                  scoring_guide_length(anatomy))
         hits_by_query: Dict[str, List[OffTargetHit]] = {}
         if queries:
-            try:
-                future = scheduler.submit(
-                    [Query(sequence=query,
-                           max_mismatches=spec.max_mismatches)
-                     for query in queries],
-                    deadline_s=deadline, kind="design")
-            except ValueError as exc:
-                return {"ok": False, "error": "bad-request",
-                        "message": str(exc)}
-            except ServiceOverloaded as exc:
-                return {"ok": False, "error": "overloaded",
-                        "message": str(exc)}
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            try:
-                results = await asyncio.wrap_future(future)
-            except DeadlineExceeded as exc:
-                return {"ok": False, "error": "deadline",
-                        "message": str(exc)}
-            except SchedulerClosed as exc:
-                return {"ok": False, "error": "closed",
-                        "message": str(exc)}
-            except Exception as exc:  # noqa: BLE001 - keep serving
-                return {"ok": False, "error": "internal",
-                        "message": f"{type(exc).__name__}: {exc}"}
+            results = await self._run_batch(
+                scheduler,
+                [Query(sequence=query, max_mismatches=spec.max_mismatches)
+                 for query in queries],
+                deadline, kind="design")
             hits_by_query = dict(zip(queries, results))
         reports = rank_candidates(candidates, hits_by_query, estimator,
                                   spec.top_n)
@@ -508,43 +347,38 @@ class OffTargetServer:
                 **design_payload(anatomy, estimator, candidates,
                                  queries, reports)}
 
-    async def _apply_request_fault(self) -> Optional[Dict[str, Any]]:
+    async def _apply_request_fault(self) -> bool:
         """Fire the next request-level fault, if the plan names one.
 
-        Returns None (no fault, or a stall already applied), an error
-        response (``raise``), or :data:`_DROP_CONNECTION`
-        (``disconnect``).  ``crash`` does not return.
+        Returns True when the connection should be dropped without a
+        response (``disconnect``); ``stall`` sleeps first and returns
+        False, ``raise`` raises an ``internal`` error and ``crash``
+        does not return.
         """
         ordinal = self._request_seq
         self._request_seq += 1
         spec = self._request_injector.fire(ordinal)
         if spec is None:
-            return None
+            return False
         tracing.instant("request_fault", cat="fault", request=ordinal,
                         kind=spec.kind)
         if spec.kind == "crash":
             os._exit(1)
         if spec.kind == "disconnect":
-            return _DROP_CONNECTION
+            return True
         if spec.kind == "stall":
             await asyncio.sleep(spec.stall_s)
-            return None
-        return {"ok": False, "error": "internal",
-                "message": f"injected fault on request {ordinal}"}
+            return False
+        raise WireError(f"injected fault on request {ordinal}")
 
     async def _handle_reload(self, request: Dict[str, Any]
                              ) -> Dict[str, Any]:
         if self._reloader is None:
-            return {"ok": False, "error": "no-reloader",
-                    "message": "this server was started without a "
-                               "reloader; it cannot roll its index"}
+            raise WireError("this server was started without a "
+                            "reloader; it cannot roll its index",
+                            "no-reloader")
         raw = request.get("canaries")
-        try:
-            canaries = (_decode_queries(raw) if raw is not None
-                        else [])
-        except ValueError as exc:
-            return {"ok": False, "error": "bad-request",
-                    "message": str(exc)}
+        canaries = decode_queries(raw) if raw is not None else []
         loop = asyncio.get_running_loop()
         try:
             # Build + warm + swap off-loop: other connections keep
@@ -554,8 +388,8 @@ class OffTargetServer:
         except Exception as exc:  # noqa: BLE001 - old index kept
             tracing.instant("index_reload_failed", cat="service",
                             error=type(exc).__name__)
-            return {"ok": False, "error": "reload-failed",
-                    "message": f"{type(exc).__name__}: {exc}"}
+            raise WireError(f"{type(exc).__name__}: {exc}",
+                            "reload-failed") from exc
         return {"ok": True, **summary}
 
     def _reload_sync(self, canaries: Sequence[Query]
@@ -614,187 +448,14 @@ class OffTargetServer:
         fingerprint = getattr(index, "fingerprint", None)
         return fingerprint() if callable(fingerprint) else None
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
-                    break
-                if not line:
-                    break
-                self._inflight += 1
-                try:
-                    try:
-                        request = json.loads(line)
-                        if not isinstance(request, dict):
-                            raise ValueError(
-                                "request must be a JSON object")
-                    except (ValueError, json.JSONDecodeError) as exc:
-                        response: Optional[Dict[str, Any]] = {
-                            "ok": False, "error": "bad-json",
-                            "message": str(exc)}
-                    else:
-                        response = await self._handle_request(request)
-                        if response is None:
-                            # Injected disconnect: drop the connection
-                            # without writing anything back.
-                            break
-                        if "id" in request:
-                            response["id"] = request["id"]
-                    writer.write(json.dumps(response).encode("ascii",
-                                                             "replace")
-                                 + b"\n")
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-                finally:
-                    self._inflight -= 1
-        except asyncio.CancelledError:
-            pass  # server shutdown: drop the connection quietly
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    # -- lifecycle ------------------------------------------------------
-
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _begin_drain(self) -> None:
-        """Graceful shutdown: stop accepting, finish admitted work.
-
-        Called from the event loop (SIGTERM handler or
-        :meth:`ServerHandle.drain` via ``call_soon_threadsafe``).
-        """
-        if not self._draining:
-            self._draining = True
-            tracing.instant("server_drain_begin", cat="service",
-                            inflight=self._inflight)
-        self._request_stop()
-
-    async def _serve(self, ready: Optional[Tuple[str, threading.Event,
-                                                 List[int]]] = None,
-                     duration_s: Optional[float] = None,
-                     ready_file: Optional[str] = None) -> None:
-        self._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        signal_installed = False
-        try:
-            # A supervisor's SIGTERM triggers the graceful drain
-            # instead of killing mid-batch.  Installation fails off
-            # the main thread (start_background); those callers use
-            # ServerHandle.drain instead.
-            loop.add_signal_handler(signal.SIGTERM, self._begin_drain)
-            signal_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-            limit=MAX_LINE_BYTES)
-        self.port = server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready[2].append(self.port)
-            ready[1].set()
-        if ready_file:
-            # Atomic publish: a supervisor polls for the file's
-            # existence, so it must never observe the empty window
-            # between create and write.
-            part = ready_file + ".part"
-            with open(part, "w", encoding="ascii") as handle:
-                handle.write(f"{self.host} {self.port}\n")
-            os.replace(part, ready_file)
-        try:
-            async with server:
-                if duration_s is not None:
-                    try:
-                        await asyncio.wait_for(self._stop_event.wait(),
-                                               timeout=duration_s)
-                    except asyncio.TimeoutError:
-                        pass
-                else:
-                    await self._stop_event.wait()
-        finally:
-            self._stop_event = None
-            if signal_installed:
-                loop.remove_signal_handler(signal.SIGTERM)
-            if self._draining:
-                # The listener is closed (async with exited): no new
-                # connections.  Give requests already admitted up to
-                # drain_s to finish; the scheduler queue drains
-                # transitively because each request holds _inflight
-                # until its response is written.
-                deadline = loop.time() + self.drain_s
-                while self._inflight > 0 and loop.time() < deadline:
-                    await asyncio.sleep(0.02)
-                tracing.instant("server_drained", cat="service",
-                                remaining=self._inflight)
-            # Cancel connection handlers still blocked in readline so
-            # the loop shuts down without pending-task warnings.
-            current = asyncio.current_task()
-            pending = [task for task in asyncio.all_tasks()
-                       if task is not current and not task.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    def run(self, duration_s: Optional[float] = None,
-            ready_file: Optional[str] = None) -> None:
-        """Serve on the calling thread until stopped.
-
-        ``ready_file`` (if given) is written with ``"host port"`` once
-        the socket is listening — so a supervisor (or smoke test) can
-        find an ephemeral port — and removed again on shutdown
-        (including error paths), so a dead server never keeps
-        announcing a port it no longer holds.  ``duration_s`` bounds
-        the run, which lets ``repro serve --duration-s 5`` act as its
-        own smoke test.
-        """
-        try:
-            asyncio.run(self._serve(duration_s=duration_s,
-                                    ready_file=ready_file))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-            if ready_file:
-                try:
-                    os.unlink(ready_file)
-                except OSError:
-                    pass
-
-    def start_background(self) -> ServerHandle:
-        """Serve on a daemon thread; returns a handle with the port."""
-        ready = threading.Event()
-        ports: List[int] = []
-        loop = asyncio.new_event_loop()
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(
-                    self._serve(ready=(self.host, ready, ports)))
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, name="service-server",
-                                  daemon=True)
-        thread.start()
-        if not ready.wait(timeout=10.0):
-            raise RuntimeError("server failed to start within 10 s")
-        return ServerHandle(host=self.host, port=ports[0], _server=self,
-                            _thread=thread, _loop=loop)
-
     def close(self) -> None:
         if not self._closed:
             self._closed = True
             self.scheduler.close()
             for _, _, scheduler in self._enzymes.values():
                 scheduler.close()
+
+    ops = {"query": _handle_query, "design": _handle_design,
+           "enumerate": _handle_enumerate, "variant": _handle_variant,
+           "enzymes": _handle_enzymes, "stats": _handle_stats,
+           "health": _handle_health, "reload": _handle_reload}

@@ -234,10 +234,16 @@ class TestRoutedEquivalence:
 
     def test_unknown_op_and_bad_request(self, routed):
         with ServiceClient(routed.host, routed.port) as client:
-            with pytest.raises(ServiceError, match="unknown-op"):
+            with pytest.raises(ServiceError, match="unknown-op") as info:
                 client._call({"op": "nope"})
-            with pytest.raises(ServiceError, match="bad-request"):
-                client._call({"op": "query", "queries": []})
+            listed = str(info.value).split("; expected ")[1]
+            assert listed.replace(" or ", ", ").split(", ") == \
+                list(routed._server.ops)
+            with pytest.raises(ServiceError, match="unknown-op"):
+                client._call({"op": ["query"]})
+            for queries in ([], 7):
+                with pytest.raises(ServiceError, match="bad-request"):
+                    client._call({"op": "query", "queries": queries})
             with pytest.raises(ServiceError, match="bad-request"):
                 client._call({"op": "query",
                               "queries": [["GACGTCNN", 3]],

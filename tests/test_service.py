@@ -336,9 +336,12 @@ class TestServer:
             return json.loads(handle.readline())
 
     def test_bad_json_reported(self, served):
-        response = self._raw_call(served, b"{not json\n")
-        assert response == {"ok": False, "error": "bad-json",
-                            "message": response["message"]}
+        # Nesting deep enough to exhaust the decoder's recursion limit
+        # is malformed input too, not a crashed connection handler.
+        for payload in (b"{not json\n", b"[" * 100000 + b"\n"):
+            response = self._raw_call(served, payload)
+            assert response == {"ok": False, "error": "bad-json",
+                                "message": response["message"]}
 
     def test_unknown_op_reported(self, served):
         response = self._raw_call(
@@ -346,13 +349,21 @@ class TestServer:
         assert response["ok"] is False
         assert response["error"] == "unknown-op"
         assert response["id"] == 7
+        listed = response["message"].split("; expected ")[1]
+        assert listed.replace(" or ", ", ").split(", ") == \
+            list(served._server.ops)
+        response = self._raw_call(served, b'{"op": ["query"]}\n')
+        assert response["error"] == "unknown-op"
 
     def test_bad_query_payloads(self, served):
         for payload in (b'{"op": "query"}\n',
                         b'{"op": "query", "queries": []}\n',
                         b'{"op": "query", "queries": [["AC"]]}\n',
                         b'{"op": "query", "queries": [["GACGTCNN", '
-                        b'-1]]}\n'):
+                        b'-1]]}\n',
+                        b'{"op": "query", "queries": 7}\n',
+                        b'{"op": "query", "queries": [["GACGTCNN", '
+                        b'3]], "deadline_s": "soon"}\n'):
             response = self._raw_call(served, payload)
             assert response["ok"] is False
             assert response["error"] == "bad-request"
