@@ -11,9 +11,9 @@ fault:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m fault
 
 # Query-service tests plus load-generator smokes: packed and byte
-# comparer modes, 2-shard worker-process runs over the result rings
-# (normal and forced-overflow), then a hard failure on any leaked shm
-# segment before the cleanup sweep.
+# comparer modes, 2-shard worker-process runs with and without the
+# adaptive scheduler (without it every batch is scattered), then a hard
+# failure on any leaked shm segment before the cleanup sweep.
 service:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_service.py \
 		tests/test_packed_service.py tests/test_shard_rings.py
@@ -24,7 +24,7 @@ service:
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
 		--clients 4 --duration 5 --packed --shards 2 --adaptive
 	PYTHONPATH=src $(PYTHON) -m repro.service.client --smoke \
-		--clients 4 --duration 5 --packed --shards 2 --ring-records 4
+		--clients 4 --duration 5 --packed --shards 2
 	PYTHONPATH=src $(PYTHON) -m repro.service.shards --guard
 	PYTHONPATH=src $(PYTHON) -m repro.service.shards --cleanup
 

@@ -27,10 +27,11 @@ search, as a one-process-per-query deployment would.
   ``shm_segment_bytes`` records the sharded tier's shared-memory
   footprint in both layouts and the reduction factor.
 * ``service_sharded_rings``: the packed index behind the sharded tier
-  with its shared-memory result rings — workers ship fixed-width hit
-  records instead of pickled hit lists.  The final ``comparer`` stats
-  snapshot records ``result_path`` (ring vs pickle batches),
-  ``ring_high_water`` and ``shards_skipped``.
+  (the key keeps its name from when results came back through
+  shared-memory rings; workers now ship comparer triples and the
+  parent renders the hits).  The final ``comparer`` stats snapshot
+  records ``batches_sharded``/``batches_direct`` and
+  ``shards_skipped``.
 * ``service_degraded``: the same sharded construction with
   ``auto_degrade=True``.  On a single-CPU host the tier routes itself
   out of the picture at construction and every batch runs in-process,
@@ -217,7 +218,7 @@ def run_bench(scale: float, chunk_size: int, duration_s: float,
     rings_handle = rings_server.start_background()
     try:
         for clients in concurrency:
-            print(f"rings    @ {clients} clients "
+            print(f"sh+pack  @ {clients} clients "
                   f"({shards} shards, packed) ...", flush=True)
             queries_by_client = [
                 [QUERY_POOL[i % len(QUERY_POOL)]]
@@ -584,15 +585,15 @@ def main(argv=None) -> int:
     for clients in report["service_packed"]:
         rings = report["service_sharded_rings"][clients]
         degraded = report["service_degraded"][clients]
-        print(f"{clients:>3} clients: sharded+rings "
+        print(f"{clients:>3} clients: sharded packed "
               f"{rings['throughput_rps']:7.2f} req/s "
               f"({report['speedup_rings'][clients]:.2f}x vs packed) | "
               f"auto-degrade {degraded['throughput_rps']:7.2f} req/s "
               f"({report['speedup_degraded'][clients]:.2f}x vs packed)")
     comparer = report["sharded_rings_comparer"]
-    print(f"ring path: {comparer['result_path']} | high water "
-          f"{comparer['ring_high_water']} / {comparer['ring_records']} "
-          f"records | shards skipped {comparer['shards_skipped']}")
+    print(f"sharded packed tier: {comparer['batches_sharded']} "
+          f"scattered / {comparer['batches_direct']} direct batches | "
+          f"shards skipped {comparer['shards_skipped']}")
     degraded = report["degraded"]
     if degraded["degraded"]:
         print(f"auto-degrade engaged: {degraded['reason']}")

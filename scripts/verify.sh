@@ -19,12 +19,12 @@ python -m pytest -x -q tests/test_service.py tests/test_packed_service.py \
     tests/test_variants.py tests/test_frontend.py "$@"
 python -m repro.service.client --smoke --clients 4 --duration 5 --packed
 python -m repro.service.client --smoke --clients 4 --duration 5 --no-packed
-# Sharded smokes: the result-ring hot path, then a 4-record ring that
-# forces the overflow (pickle) fallback on every batch.
+# Sharded smokes: with the adaptive scheduler (small batches served
+# in-process), then without it, so every batch is scattered.
 python -m repro.service.client --smoke --clients 4 --duration 5 --packed \
     --shards 2 --adaptive
 python -m repro.service.client --smoke --clients 4 --duration 5 --packed \
-    --shards 2 --ring-records 4
+    --shards 2
 # Guide-design smoke: a served `design` request must be byte-identical
 # to the in-process reference, with every candidate query covered by
 # exactly one batched comparer pass (no per-guide rescans).

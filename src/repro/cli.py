@@ -427,12 +427,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "the index into shared-memory shards with "
                              "one process each (responses stay "
                              "byte-identical)")
-    parser.add_argument("--ring-records", type=_nonnegative_int,
-                        default=None,
-                        help="per-shard result-ring capacity in "
-                             "records (default 65536; 0 disables the "
-                             "rings and every batch takes the pickled "
-                             "fallback path)")
     parser.add_argument("--auto-degrade", action="store_true",
                         help="with --shards >1: serve in-process when "
                              "the host cannot win the scatter/gather "
@@ -566,21 +560,15 @@ def _run_serve(argv: List[str]) -> int:
           file=sys.stderr)
     serving = index
     if args.shards > 1:
-        from .service.shards import (DEFAULT_RING_RECORDS,
-                                     ShardedSiteIndex)
-        serving = ShardedSiteIndex(
-            index, shards=args.shards,
-            ring_records=(DEFAULT_RING_RECORDS
-                          if args.ring_records is None
-                          else args.ring_records),
-            auto_degrade=args.auto_degrade)
+        from .service.shards import ShardedSiteIndex
+        serving = ShardedSiteIndex(index, shards=args.shards,
+                                   auto_degrade=args.auto_degrade)
         if serving.degraded:
             print(f"# sharded serving degraded: "
                   f"{serving.degrade_reason}", file=sys.stderr)
         else:
             print(f"# sharded serving: {args.shards} worker "
-                  f"processes, {serving.ring_records} ring records "
-                  f"per shard", file=sys.stderr)
+                  f"processes", file=sys.stderr)
     enzymes = []
     if args.enzyme_configs:
         from .enzymes import EnzymeError, load_enzymes
@@ -671,14 +659,9 @@ def _make_reloader(args: argparse.Namespace, assembly: Assembly,
                 api=args.api, device=args.device,
                 max_retries=args.max_retries, packed=args.packed)
         if args.shards > 1:
-            from .service.shards import (DEFAULT_RING_RECORDS,
-                                         ShardedSiteIndex)
-            index = ShardedSiteIndex(
-                index, shards=args.shards,
-                ring_records=(DEFAULT_RING_RECORDS
-                              if args.ring_records is None
-                              else args.ring_records),
-                auto_degrade=args.auto_degrade)
+            from .service.shards import ShardedSiteIndex
+            index = ShardedSiteIndex(index, shards=args.shards,
+                                     auto_degrade=args.auto_degrade)
         return index
 
     return reloader

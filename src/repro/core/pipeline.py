@@ -312,10 +312,9 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
 
     This is the single hit-construction path for resident serving:
     :meth:`_BasePipeline.compare_resident` uses it after running the
-    comparer locally, and the sharded tier's parent uses it (one record
-    at a time) after reading triples back from a result ring — so a
-    hit is rendered identically no matter which process computed the
-    mismatch counts.
+    comparer locally, and the sharded tier's parent uses it on the
+    triples its shard workers send back — so a hit is rendered
+    identically no matter which process computed the mismatch counts.
     """
     chunk = Chunk(chrom=entry.chrom, start=entry.start,
                   data=entry.data, scan_length=entry.scan_length)
@@ -387,8 +386,7 @@ class _BasePipeline:
         order; hits are built by the same
         :meth:`SearchAccumulator._build_hits` the chunk loop uses, so
         concatenating the per-entry lists in chunk order reproduces a
-        full search byte-for-byte.  This is the unit of work one shard
-        worker executes over its shared-memory slice.
+        full search byte-for-byte.
 
         Entries carrying :class:`PackedSites` planes run the
         bit-parallel comparer over the resident 2-bit words instead of
@@ -458,11 +456,10 @@ class _BasePipeline:
         present, byte comparer otherwise) but stops before hit
         construction: returns ``None`` for an entry with no candidate
         sites, else one ``(mm_loci, mm_count, direction)`` triple per
-        query.  The sharded tier's result rings ship these fixed-width
-        arrays across the process boundary; the parent renders
-        :class:`OffTargetHit` objects from the same triples with
-        :func:`build_entry_hits`, so both sides stay
-        element-identical.
+        query.  Sharded-tier workers ship these arrays across the
+        process boundary; the parent renders :class:`OffTargetHit`
+        objects from the same triples with :func:`build_entry_hits`,
+        so both tiers stay element-identical.
         """
         if entry.loci.size == 0:
             return None

@@ -122,22 +122,6 @@ class TraceRecorder:
         self._buffer().append(entry)
         return entry
 
-    def counter(self, name: str, cat: str = "", **values) -> Span:
-        """Record a counter sample (Chrome-trace ``ph: "C"`` event).
-
-        Counter events render as a stacked value track in trace
-        viewers; the sharded tier samples ring occupancy through this
-        so ring sizing can be read off a trace instead of guessed.
-        ``values`` must be numeric — they become the counter series.
-        """
-        now = _CLOCK()
-        entry = Span(name=name, cat=cat, start_s=now, end_s=now,
-                     pid=os.getpid(),
-                     tid=threading.current_thread().name,
-                     args=dict(values), phase="C")
-        self._buffer().append(entry)
-        return entry
-
     def flow(self, name: str, flow_id: int, cat: str = "",
              end: bool = False, **args) -> Span:
         """Record a flow start (``ph: "s"``) or finish (``ph: "f"``).
@@ -241,7 +225,6 @@ class TraceRecorder:
                 if span.phase == "f":
                     # Bind the arrow head to the enclosing slice.
                     event["bp"] = "e"
-            # Counter events ("C") carry their values directly in args.
             events.append(event)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -317,13 +300,6 @@ def instant(name: str, cat: str = "", **args) -> None:
     recorder = _active
     if recorder is not None:
         recorder.instant(name, cat, **args)
-
-
-def counter(name: str, cat: str = "", **values) -> None:
-    """Record a counter sample on the active recorder, if any."""
-    recorder = _active
-    if recorder is not None:
-        recorder.counter(name, cat, **values)
 
 
 def flow(name: str, flow_id: int, cat: str = "", end: bool = False,

@@ -350,8 +350,8 @@ def run_load(host: str, port: int, queries: Sequence[Query],
 # ---------------------------------------------------------------------------
 
 def _smoke(clients: int, duration_s: float, shards: int = 0,
-           packed: bool = True, ring_records: Optional[int] = None,
-           auto_degrade: bool = False, adaptive: bool = False) -> int:
+           packed: bool = True, auto_degrade: bool = False,
+           adaptive: bool = False) -> int:
     from ..genome.synthetic import synthetic_assembly
     from .index import GenomeSiteIndex
     from .server import OffTargetServer
@@ -361,12 +361,9 @@ def _smoke(clients: int, duration_s: float, shards: int = 0,
                                   chunk_size=1 << 15, packed=packed)
     serving = index
     if shards:
-        from .shards import DEFAULT_RING_RECORDS, ShardedSiteIndex
-        serving = ShardedSiteIndex(
-            index, shards=shards,
-            ring_records=(DEFAULT_RING_RECORDS if ring_records is None
-                          else ring_records),
-            auto_degrade=auto_degrade)
+        from .shards import ShardedSiteIndex
+        serving = ShardedSiteIndex(index, shards=shards,
+                                   auto_degrade=auto_degrade)
     server = OffTargetServer(serving, max_batch=8, max_wait_ms=2.0,
                              adaptive=adaptive,
                              direct_below=2 if adaptive else 0)
@@ -383,7 +380,6 @@ def _smoke(clients: int, duration_s: float, shards: int = 0,
     report["comparer_mode"] = "packed" if index.packed else "byte"
     if shards:
         report["degraded"] = serving.degraded
-        report["ring_records"] = serving.ring_records
     print(json.dumps(report, indent=2, sort_keys=True))
     if report["requests"] <= 0 or report["throughput_rps"] <= 0:
         print("smoke FAILED: no requests completed")
@@ -415,12 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="with --smoke: resident comparer mode "
                              "(packed 2-bit by default; --no-packed "
                              "forces the byte comparer)")
-    parser.add_argument("--ring-records", type=int, default=None,
-                        help="with --smoke --shards N: per-shard "
-                             "result-ring capacity in records "
-                             "(0 disables rings — every batch takes "
-                             "the pickle path; tiny values exercise "
-                             "the overflow fallback)")
     parser.add_argument("--auto-degrade", action="store_true",
                         help="with --smoke --shards N: let the tier "
                              "serve in-process when the host cannot "
@@ -437,7 +427,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.smoke:
         return _smoke(args.clients, args.duration, shards=args.shards,
                       packed=args.packed,
-                      ring_records=args.ring_records,
                       auto_degrade=args.auto_degrade,
                       adaptive=args.adaptive)
     if not args.port:

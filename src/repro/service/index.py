@@ -159,6 +159,19 @@ def profile_feasible(profile: np.ndarray,
     return False
 
 
+def check_query_lengths(index, queries: Sequence[Query]) -> None:
+    """Raise :class:`ValueError` unless every query is as long as
+    ``index``'s PAM pattern (any object with ``pattern`` and
+    ``compiled_pattern``: the in-process or the sharded index)."""
+    plen = index.compiled_pattern.plen
+    for query in queries:
+        if len(query.sequence) != plen:
+            raise ValueError(
+                f"query {query.sequence!r} has length "
+                f"{len(query.sequence)}, index pattern "
+                f"{index.pattern!r} has length {plen}")
+
+
 class SiteIndexError(RuntimeError):
     """Raised for unusable index state (corrupt payload, failed build)."""
 
@@ -181,7 +194,7 @@ class _IndexedChunk:
     """One chunk's resident finder output.
 
     ``data`` is a zero-copy view over the assembly's chromosome array,
-    cached at build/load time so serving never re-fetches bases per
+    set at build/load time so serving never re-fetches bases per
     batch; ``packed`` holds the resident 2-bit window planes when the
     index is in packed mode.
     """
@@ -192,7 +205,7 @@ class _IndexedChunk:
     length: int  # chunk data length in bases (scan region + overlap)
     loci: np.ndarray   # uint32 candidate offsets within the chunk
     flags: np.ndarray  # uint8 strand flags, as the finder emitted them
-    data: Optional[np.ndarray] = None
+    data: np.ndarray   # uint8 chunk bases (scan region + overlap)
     packed: Optional[PackedSites] = None
 
 
@@ -396,33 +409,13 @@ class GenomeSiteIndex:
         """
         if not queries:
             return []
-        plen = self.compiled_pattern.plen
-        for query in queries:
-            if len(query.sequence) != plen:
-                raise ValueError(
-                    f"query {query.sequence!r} has length "
-                    f"{len(query.sequence)}, index pattern "
-                    f"{self.pattern!r} has length {plen}")
-        queries = list(queries)
-        compiled = [compile_pattern(q.sequence) for q in queries]
-        with self._stats_lock:
-            self._batches += 1
-            self._queries_total += len(compiled)
-            if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
-                self._queries_packed += packed_n
-                self._queries_fallback += len(compiled) - packed_n
+        queries, compiled, _ = self._begin_batch(queries, extras=0)
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        scanned = 0
         for entry_hits in self.pipeline.compare_resident(
                 self._resident_entries(), queries, compiled,
                 batched=True):
-            scanned += 1
             for qi, query_hits in enumerate(entry_hits):
                 hits[qi].extend(query_hits)
-        with self._stats_lock:
-            self._entries_scanned += scanned
         return hits
 
     def query_batch_with_extras(
@@ -448,26 +441,9 @@ class GenomeSiteIndex:
         if not queries:
             raise ValueError(
                 "query_batch_with_extras needs at least one query")
-        plen = self.compiled_pattern.plen
-        for query in queries:
-            if len(query.sequence) != plen:
-                raise ValueError(
-                    f"query {query.sequence!r} has length "
-                    f"{len(query.sequence)}, index pattern "
-                    f"{self.pattern!r} has length {plen}")
-        queries = list(queries)
         extras = list(extras)
-        compiled = [compile_pattern(q.sequence) for q in queries]
-        n_ref = sum(1 for entry in self._chunks if entry.loci.size)
-        with self._stats_lock:
-            self._batches += 1
-            self._queries_total += len(compiled)
-            self._entries_scanned += n_ref + len(extras)
-            if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
-                self._queries_packed += packed_n
-                self._queries_fallback += len(compiled) - packed_n
+        queries, compiled, n_ref = self._begin_batch(
+            queries, extras=len(extras))
 
         def entry_stream():
             yield from self._resident_entries()
@@ -484,6 +460,31 @@ class GenomeSiteIndex:
                 extra_hits.append(entry_hits)
         return hits, extra_hits, n_ref
 
+    def _begin_batch(self, queries: Sequence[Query], extras: int
+                     ) -> Tuple[List[Query], list, int]:
+        """Validate, compile and book one batched comparer pass.
+
+        Shared by :meth:`query_batch` and
+        :meth:`query_batch_with_extras` (which must not call each
+        other: each is one ``batches`` tick).  Counts the non-empty
+        resident chunks plus ``extras`` as scanned and returns
+        ``(queries, compiled, resident_chunks)``.
+        """
+        check_query_lengths(self, queries)
+        queries = list(queries)
+        compiled = [compile_pattern(q.sequence) for q in queries]
+        n_ref = sum(1 for entry in self._chunks if entry.loci.size)
+        with self._stats_lock:
+            self._batches += 1
+            self._queries_total += len(compiled)
+            self._entries_scanned += n_ref + extras
+            if self.packed:
+                packed_n = sum(1 for cq in compiled
+                               if window_packable(cq))
+                self._queries_packed += packed_n
+                self._queries_fallback += len(compiled) - packed_n
+        return queries, compiled, n_ref
+
     def _resident_entries(self):
         """Yield non-empty chunks as comparer-ready resident entries.
 
@@ -495,14 +496,9 @@ class GenomeSiteIndex:
         for entry in self._chunks:
             if entry.loci.size == 0:
                 continue
-            data = entry.data
-            if data is None:  # pre-cache index state (defensive)
-                data = self.assembly.fetch(entry.chrom, entry.start,
-                                           entry.start + entry.length)
-                entry.data = data
             yield ResidentChunk(chrom=entry.chrom, start=entry.start,
                                 scan_length=entry.scan_length,
-                                data=data, loci=entry.loci,
+                                data=entry.data, loci=entry.loci,
                                 flags=entry.flags,
                                 packed=entry.packed)
 

@@ -26,18 +26,17 @@ once, so the per-batch hot path runs the bit-parallel comparer with
 zero shared-memory gathers.  Byte mode keeps the original layout
 (genome segment + per-shard ``loci``/``flags``).
 
-Results come back through preallocated per-shard **shared-memory
-result rings**, not pickled hit lists: a worker writes fixed-width
-records — ``(query index, global chunk index, locus, strand,
-mismatches)`` at 16 bytes each — into its ring and posts only a tiny
-``(batch_id, epoch, count)`` control message; the parent reads the
-ring zero-copy and rebuilds the :class:`OffTargetHit` objects from its
-own resident chunk data through the same
-:meth:`~repro.core.pipeline.SearchAccumulator._build_hits` rendering
-the worker would have used, so wire responses stay byte-identical.  A
-batch whose hit count overflows the ring falls back to the original
-pickle path for that shard (also byte-identical, just slower), and
-``comparer_stats`` counts both paths plus the ring high-water mark.
+Workers never build hits.  Each one returns, on the shared results
+queue, the raw comparer triples — ``(mm_loci, mm_count, direction)``
+per query, exactly what
+:meth:`~repro.core.pipeline._BasePipeline.compare_resident_triples`
+produces — tagged with the global chunk index, for the chunks that
+have at least one hit.  The parent renders every hit from its own
+resident chunk data with
+:func:`~repro.core.pipeline.build_entry_hits`, the same function the
+in-process :meth:`~repro.core.pipeline._BasePipeline.compare_resident`
+uses, so in-process and sharded responses share one hit renderer and
+stay byte-identical.
 
 Each shard also publishes a **candidate summary**: per window
 position, the OR of base-class bits over every candidate site in the
@@ -63,9 +62,8 @@ under a bumped *epoch* — with the gather deadline reset, so the fresh
 worker gets a full ``task_timeout_s`` rather than the dead one's
 leftovers.  ``scatter`` / ``gather`` / per-worker ``shard`` spans
 thread through the trace recorder; workers ship their drained spans
-back with each result, and ring occupancy is sampled as Chrome-trace
-counter events.  The lock discipline is deliberately narrow: worker
-state is guarded by a short-lived mutex so ``shard_health`` /
+back with each result.  The lock discipline is deliberately narrow:
+worker state is guarded by a short-lived mutex so ``shard_health`` /
 ``ping`` / ``comparer_stats`` answer while a batch is in flight, and
 only ``query_batch``/``close`` serialize on the batch lock.
 
@@ -102,31 +100,15 @@ from ..core.pipeline import (ResidentChunk, build_entry_hits,
 from ..core.records import OffTargetHit
 from ..genome import twobit
 from ..observability import tracing
-from .index import (GenomeSiteIndex, profile_feasible,
-                    query_allowed_masks, window_column_profile)
+from .index import (GenomeSiteIndex, check_query_lengths,
+                    profile_feasible, query_allowed_masks,
+                    window_column_profile)
 
 #: Prefix for every shared-memory segment this module creates.
 SHM_PREFIX = "repro-shm-"
 
 #: Where POSIX shared memory shows up for leak sweeping.
 _DEV_SHM = "/dev/shm"
-
-#: One fixed-width hit record in a shard's result ring.  ``locus`` is
-#: the offset within the chunk (the comparer's native coordinate);
-#: ``chunk`` is the global chunk index, so the parent can find the
-#: resident chunk the locus refers to.  16 bytes keeps records
-#: naturally aligned and a 64 Ki-record ring at 1 MiB per shard.
-RING_RECORD_DTYPE = np.dtype([
-    ("qi", "<u4"),      # query index within the batch
-    ("chunk", "<u4"),   # global chunk index
-    ("locus", "<u4"),   # candidate offset within the chunk
-    ("mm", "<u2"),      # mismatch count
-    ("strand", "u1"),   # ord("+") or ord("-"), as the kernels emit it
-    ("pad", "u1"),
-])
-
-#: Default per-shard ring capacity in records (1 MiB per shard).
-DEFAULT_RING_RECORDS = 1 << 16
 
 
 class ShardWorkerError(RuntimeError):
@@ -172,7 +154,6 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
                                               int, int]],
                        pipeline_params: Dict[str, Any],
                        packed: bool, plen: int,
-                       ring_name: Optional[str], ring_records: int,
                        task_queue, result_queue) -> None:
     """One shard's comparer loop: attach, serve tasks, exit on stop.
 
@@ -185,15 +166,10 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
     the resident :class:`PackedSites` planes, so no shared view is held
     on the hot path.
 
-    Results go back through the shard's result ring when they fit:
-    fixed-width :data:`RING_RECORD_DTYPE` records written in (chunk,
-    query, hit) order — the exact order hit construction iterates — and
-    a small ``("ring", ..., count, spans)`` control message.  The ring
-    writes land before ``result_queue.put`` returns (same thread, and
-    the queue's pipe write is a syscall barrier), so the parent never
-    reads a record ahead of its data.  A batch whose hits overflow the
-    ring (or a tier with rings disabled) builds the hits here and
-    ships them pickled, exactly as before.
+    Each query task is answered with one ``("result", ..., payload,
+    spans)`` message whose payload is ``[(global_chunk_index,
+    per_query_triples)]`` for the chunks with at least one hit; the
+    parent renders the hits.
     """
     genome_shm = None
     sites_shm = _attach_shared(sites_name)
@@ -248,12 +224,6 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
             for _, chrom, start, scan_length, length, lo, hi
             in chunk_meta]
         del genome_arr, chrom_views, loci_all, flags_all
-    ring_shm = None
-    ring = None
-    if ring_name is not None and ring_records > 0:
-        ring_shm = _attach_shared(ring_name)
-        ring = np.ndarray((ring_records,), dtype=RING_RECORD_DTYPE,
-                          buffer=ring_shm.buf)
     pipeline = make_pipeline(**pipeline_params)
     try:
         while True:
@@ -293,57 +263,27 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
                                       chunks=len(chunk_meta),
                                       packed=packed,
                                       queries=len(queries)) as sp:
-                        triples = [pipeline.compare_resident_triples(
-                            entry, queries, compiled, batched=True)
-                            for entry in entries]
-                        total = sum(
-                            int(t[0].size)
-                            for per_query in triples
-                            if per_query is not None
-                            for t in per_query)
+                        payload = []
+                        total = 0
+                        for meta, entry in zip(chunk_meta, entries):
+                            per_query = \
+                                pipeline.compare_resident_triples(
+                                    entry, queries, compiled,
+                                    batched=True)
+                            if per_query is None:
+                                continue
+                            hits = sum(int(t[0].size)
+                                       for t in per_query)
+                            if hits:
+                                payload.append((meta[0], per_query))
+                                total += hits
                         sp.args["hits"] = total
                 finally:
                     if recorder is not None:
                         spans = recorder.drain()
                         tracing.activate(None)
-                if ring is not None and total <= ring_records:
-                    pos = 0
-                    for meta, per_query in zip(chunk_meta, triples):
-                        if per_query is None:
-                            continue
-                        gi = meta[0]
-                        for qi, (mm_loci, mm_count, direction) \
-                                in enumerate(per_query):
-                            n = int(mm_loci.size)
-                            if n == 0:
-                                continue
-                            block = ring[pos:pos + n]
-                            block["qi"] = np.uint32(qi)
-                            block["chunk"] = np.uint32(gi)
-                            block["locus"] = mm_loci.astype(
-                                np.uint32, copy=False)
-                            block["mm"] = mm_count.astype(
-                                np.uint16, copy=False)
-                            block["strand"] = direction.astype(
-                                np.uint8, copy=False)
-                            pos += n
-                    result_queue.put(("ring", shard_id, epoch,
-                                      batch_id, pos, spans))
-                else:
-                    # Ring overflow (or rings disabled): build the
-                    # hits here and ship them pickled, as the tier
-                    # originally did for every batch.
-                    payload = []
-                    for meta, entry, per_query in zip(
-                            chunk_meta, entries, triples):
-                        if per_query is None:
-                            payload.append(
-                                (meta[0], [[] for _ in queries]))
-                        else:
-                            payload.append((meta[0], build_entry_hits(
-                                entry, queries, compiled, per_query)))
-                    result_queue.put(("result", shard_id, epoch,
-                                      batch_id, payload, spans))
+                result_queue.put(("result", shard_id, epoch, batch_id,
+                                  payload, spans))
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - shipped back
@@ -355,8 +295,7 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
         if release is not None:
             release()
         del entries  # byte-mode entries hold views over the segments
-        del ring    # ring view pins the ring segment's buffer
-        for shm in (genome_shm, sites_shm, ring_shm):
+        for shm in (genome_shm, sites_shm):
             if shm is None:
                 continue
             try:
@@ -384,8 +323,6 @@ class _ShardWorker:
     #: stale leftovers from a dead incarnation and are dropped.
     epoch: int = 0
     respawns: int = 0
-    #: Name of this shard's result-ring segment (None: rings disabled).
-    ring_name: Optional[str] = None
     #: Candidate summary: per window position, the OR of base-class
     #: bits over every candidate site in the shard (see
     #: :func:`repro.service.index.window_column_profile`).  Drives the
@@ -412,25 +349,20 @@ class ShardedSiteIndex:
     def __init__(self, index: GenomeSiteIndex, shards: int = 2,
                  task_timeout_s: float = 60.0,
                  max_respawns_per_batch: int = 3, start: bool = True,
-                 ring_records: int = DEFAULT_RING_RECORDS,
                  auto_degrade: bool = False):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if ring_records < 0:
-            raise ValueError(
-                f"ring_records must be >= 0, got {ring_records}")
         self.index = index
         self.shard_count = int(shards)
         self.task_timeout_s = float(task_timeout_s)
         self.max_respawns_per_batch = int(max_respawns_per_batch)
-        self.ring_records = int(ring_records)
         self._ctx = get_context("spawn")
         #: Guards worker/segment state and counters.  Deliberately
         #: narrow: never held across a gather, so ``shard_health`` /
         #: ``ping`` / ``comparer_stats`` answer mid-batch.
         self._lock = threading.RLock()
         #: Serializes scatter+gather (and close) — one batch owns the
-        #: rings and the result queue at a time.  Acquired before
+        #: result queue at a time.  Acquired before
         #: ``_lock``; never the other way around.
         self._batch_lock = threading.Lock()
         #: Demux for the single results queue: gather and ping each
@@ -442,8 +374,6 @@ class ShardedSiteIndex:
         self._next_batch = 0
         self._genome_shm: Optional[shared_memory.SharedMemory] = None
         self._shard_shms: List[shared_memory.SharedMemory] = []
-        self._ring_shms: List[shared_memory.SharedMemory] = []
-        self._ring_views: Dict[int, np.ndarray] = {}
         self._genome_layout: List[Tuple[str, int, int]] = []
         self._genome_bytes = 0
         self._workers: List[_ShardWorker] = []
@@ -458,11 +388,8 @@ class ShardedSiteIndex:
         self._batches_direct = 0
         self._queries_total = 0
         self._entries_scanned = 0
-        self._ring_batches = 0
-        self._pickle_batches = 0
-        self._ring_high_water = 0
-        #: Resident chunks by global index, for parent-side hit
-        #: reconstruction from ring records.
+        #: Resident chunks by global index: the parent renders every
+        #: hit from these and the workers' comparer triples.
         self._entries = list(index.entries)
         #: True once the tier has routed itself out of the picture:
         #: every batch goes to the inner index in-process.
@@ -550,20 +477,12 @@ class ShardedSiteIndex:
         return self.index.chromosomes
 
     def segment_bytes(self) -> Dict[str, Any]:
-        """Shared-memory footprint of the published index.
-
-        ``total`` counts the index payload (genome + shard segments)
-        only; the fixed-size result rings are reported separately so
-        index-compression comparisons are not swamped by ring
-        capacity, which is identical in every mode.
-        """
+        """Shared-memory footprint of the published index."""
         shard_bytes = sum(w.seg_bytes for w in self._workers)
-        ring_bytes = sum(int(shm.size) for shm in self._ring_shms)
         return {
             "mode": "packed" if self.packed else "byte",
             "genome": self._genome_bytes,
             "shards": shard_bytes,
-            "rings": ring_bytes,
             "total": self._genome_bytes + shard_bytes,
         }
 
@@ -576,9 +495,6 @@ class ShardedSiteIndex:
             batches_sharded = self._batches_sharded
             batches_direct = self._batches_direct
             queries_total = self._queries_total
-            ring_batches = self._ring_batches
-            pickle_batches = self._pickle_batches
-            ring_high_water = self._ring_high_water
             entries_scanned = self._entries_scanned
         return {
             "mode": "packed" if self.packed else "byte",
@@ -600,10 +516,6 @@ class ShardedSiteIndex:
             # request-scoped and never published to shard workers), so
             # this counts exactly the patched chunks scanned here.
             "entries_scanned": entries_scanned,
-            "result_path": {"ring": ring_batches,
-                            "pickle": pickle_batches},
-            "ring_records": self.ring_records,
-            "ring_high_water": ring_high_water,
             "segment_bytes": self.segment_bytes(),
         }
 
@@ -650,7 +562,7 @@ class ShardedSiteIndex:
             site_count = sum(e.loci.size for _, e in assigned)
             if self.packed:
                 seg_bytes, chunk_meta = self._publish_packed_shard(
-                    index, base, shard_id, assigned)
+                    base, shard_id, assigned)
             else:
                 seg_bytes, chunk_meta = self._publish_byte_shard(
                     base, shard_id, assigned, site_count)
@@ -659,37 +571,19 @@ class ShardedSiteIndex:
             # pre-scatter feasibility skip.
             profile = np.zeros(plen, dtype=np.uint8)
             for _, entry in assigned:
-                data = entry.data
-                if data is None:
-                    data = index.assembly.fetch(
-                        entry.chrom, entry.start,
-                        entry.start + entry.length)
-                profile |= window_column_profile(data, entry.loci,
+                profile |= window_column_profile(entry.data, entry.loci,
                                                  plen)
-            ring_name = None
-            if self.ring_records > 0:
-                ring_shm = shared_memory.SharedMemory(
-                    name=f"{base}-r{shard_id}", create=True,
-                    size=max(1, self.ring_records
-                             * RING_RECORD_DTYPE.itemsize))
-                self._ring_shms.append(ring_shm)
-                self._ring_views[shard_id] = np.ndarray(
-                    (self.ring_records,), dtype=RING_RECORD_DTYPE,
-                    buffer=ring_shm.buf)
-                ring_name = ring_shm.name
             self._workers.append(_ShardWorker(
                 shard_id=shard_id, sites_name=self._shard_shms[-1].name,
                 site_count=site_count, seg_bytes=seg_bytes,
                 chunk_meta=chunk_meta, task_queue=self._ctx.Queue(),
-                ring_name=ring_name, profile=profile))
+                profile=profile))
         tracing.instant("shards_published", cat="shard",
                         shards=self.shard_count,
                         packed=self.packed,
                         genome_bytes=self._genome_bytes,
                         shard_bytes=sum(w.seg_bytes
                                         for w in self._workers),
-                        ring_bytes=sum(int(shm.size)
-                                       for shm in self._ring_shms),
                         sites=index.site_count)
 
     def _publish_byte_shard(self, base: str, shard_id: int, assigned,
@@ -717,8 +611,8 @@ class ShardedSiteIndex:
         del loci_arr, flags_arr
         return seg_bytes, chunk_meta
 
-    def _publish_packed_shard(self, index: GenomeSiteIndex, base: str,
-                              shard_id: int, assigned):
+    def _publish_packed_shard(self, base: str, shard_id: int,
+                              assigned):
         """Packed layout: per chunk, 2-bit bases + N mask, candidate
         bitmask over the scan region, and 2-bit strand flags."""
         regions = []
@@ -736,12 +630,7 @@ class ShardedSiteIndex:
         weights = np.array([1, 4, 16, 64], dtype=np.uint16)
         chunk_meta = []
         for gi, entry, off in regions:
-            data = entry.data
-            if data is None:
-                data = index.assembly.fetch(
-                    entry.chrom, entry.start,
-                    entry.start + entry.length)
-            encoded = twobit.encode(data)
+            encoded = twobit.encode(entry.data)
             p = off
             seg[p:p + encoded.packed.size] = encoded.packed
             p += encoded.packed.size
@@ -778,7 +667,6 @@ class ShardedSiteIndex:
                   worker.site_count, worker.seg_bytes,
                   worker.chunk_meta, self._pipeline_params,
                   self.packed, self.index.compiled_pattern.plen,
-                  worker.ring_name, self.ring_records,
                   worker.task_queue, self._results),
             name=f"shard-{worker.shard_id}", daemon=True)
         process.start()
@@ -938,13 +826,7 @@ class ShardedSiteIndex:
         """
         if not queries:
             return []
-        plen = self.compiled_pattern.plen
-        for query in queries:
-            if len(query.sequence) != plen:
-                raise ValueError(
-                    f"query {query.sequence!r} has length "
-                    f"{len(query.sequence)}, index pattern "
-                    f"{self.pattern!r} has length {plen}")
+        check_query_lengths(self, queries)
         queries = list(queries)
         if self.degraded:
             return self.query_batch_direct(queries)
@@ -954,16 +836,9 @@ class ShardedSiteIndex:
             with self._lock:
                 if self._closed:
                     raise ShardWorkerError("sharded index is closed")
-                if self.packed:
-                    packed_n = sum(1 for cq in compiled
-                                   if window_packable(cq))
-                    self._queries_packed += packed_n
-                    self._queries_fallback += \
-                        len(queries) - packed_n
+                self._count_batch(compiled, direct=False)
                 batch_id = self._next_batch
                 self._next_batch += 1
-                self._batches_sharded += 1
-                self._queries_total += len(queries)
                 trace = tracing.active() is not None
                 targets = self._select_shards(queries, compiled)
                 with tracing.span("scatter", cat="shard",
@@ -979,15 +854,13 @@ class ShardedSiteIndex:
                         worker.task_queue.put(
                             ("query", worker.epoch, batch_id, specs,
                              trace))
-            collected = self._gather(batch_id, queries, specs,
-                                     compiled, trace, targets)
-        merged: List[Tuple[int, List[List[OffTargetHit]]]] = []
-        for payload in collected.values():
-            merged.extend(payload)
-        merged.sort(key=lambda item: item[0])
+            collected = self._gather(batch_id, specs, trace, targets)
+        merged = sorted((item for payload in collected.values()
+                         for item in payload), key=lambda item: item[0])
         hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        for _, entry_hits in merged:
-            for qi, query_hits in enumerate(entry_hits):
+        for gi, per_query in merged:
+            for qi, query_hits in enumerate(build_entry_hits(
+                    self._entries[gi], queries, compiled, per_query)):
                 hits[qi].extend(query_hits)
         return hits
 
@@ -1000,10 +873,25 @@ class ShardedSiteIndex:
         """
         if self._closed:
             raise ShardWorkerError("sharded index is closed")
+        compiled = [compile_pattern(q.sequence) for q in queries]
         with self._lock:
-            self._batches_direct += 1
-            self._queries_total += len(queries)
+            self._count_batch(compiled, direct=True)
         return self.index.query_batch(queries)
+
+    def _count_batch(self, compiled, direct: bool) -> None:
+        """Book one tier-level batch; the scattered and the direct
+        path both pass here, so ``queries_packed + queries_fallback``
+        covers every query of a packed tier.  Callers hold ``_lock``.
+        """
+        if direct:
+            self._batches_direct += 1
+        else:
+            self._batches_sharded += 1
+        self._queries_total += len(compiled)
+        if self.packed:
+            packed_n = sum(1 for cq in compiled if window_packable(cq))
+            self._queries_packed += packed_n
+            self._queries_fallback += len(compiled) - packed_n
 
     def query_batch_with_extras(self, queries: Sequence[Query],
                                 extras: Sequence[Any]
@@ -1065,57 +953,7 @@ class ShardedSiteIndex:
                             skipped=skipped)
         return targets
 
-    def _payload_from_ring(self, worker: _ShardWorker, count: int,
-                           queries: List[Query], compiled
-                           ) -> List[Tuple[int,
-                                           List[List[OffTargetHit]]]]:
-        """Rebuild per-chunk hit lists from a shard's ring records.
-
-        Records were written in (chunk, query, hit) order — the exact
-        order :func:`build_entry_hits` iterates — so grouping
-        consecutive records by chunk and rendering them through the
-        same constructor reproduces the worker-built payload
-        byte-for-byte.  Only chunks with hits appear; the merge treats
-        missing chunks as empty, same as a worker's empty lists.
-        """
-        view = self._ring_views[worker.shard_id]
-        records = np.array(view[:count], copy=True)
-        plen = self.compiled_pattern.plen
-        payload: List[Tuple[int, List[List[OffTargetHit]]]] = []
-        pos = 0
-        while pos < count:
-            gi = int(records["chunk"][pos])
-            end = pos
-            while end < count and int(records["chunk"][end]) == gi:
-                end += 1
-            entry = self._entries[gi]
-            data = entry.data
-            if data is None:
-                data = self.index.assembly.fetch(
-                    entry.chrom, entry.start,
-                    entry.start + entry.length)
-                entry.data = data
-            entry_hits: List[List[OffTargetHit]] = \
-                [[] for _ in queries]
-            for rec in records[pos:end]:
-                qi = int(rec["qi"])
-                lo = int(rec["locus"])
-                strand = "+" if int(rec["strand"]) == ord("+") \
-                    else "-"
-                cq = compiled[qi]
-                codes = (cq.sequence if strand == "+"
-                         else cq.rc_sequence)
-                entry_hits[qi].append(OffTargetHit.from_site(
-                    query=queries[qi].sequence, chrom=entry.chrom,
-                    position=entry.start + lo, strand=strand,
-                    mismatches=int(rec["mm"]),
-                    window=data[lo:lo + plen], query_codes=codes))
-            payload.append((gi, entry_hits))
-            pos = end
-        return payload
-
-    def _gather(self, batch_id: int, queries: List[Query], specs,
-                compiled, trace: bool,
+    def _gather(self, batch_id: int, specs, trace: bool,
                 targets: List[_ShardWorker]) -> Dict[int, List]:
         """Collect one result per scattered shard, respawning crashed
         workers (with a fresh deadline for each respawn resend)."""
@@ -1167,21 +1005,7 @@ class ShardedSiteIndex:
                     raise ShardWorkerError(
                         f"shard {shard_id} failed batch {batch_id}: "
                         f"{body}")
-                if kind == "ring":
-                    count = int(body)
-                    with self._lock:
-                        self._ring_batches += 1
-                        self._ring_high_water = max(
-                            self._ring_high_water, count)
-                    tracing.counter(
-                        "ring_occupancy", cat="shard",
-                        **{f"shard{shard_id}": count})
-                    collected[shard_id] = self._payload_from_ring(
-                        worker, count, queries, compiled)
-                else:
-                    with self._lock:
-                        self._pickle_batches += 1
-                    collected[shard_id] = body
+                collected[shard_id] = body
                 pending.discard(shard_id)
             gather_span.args["respawns"] = respawns
         return collected
@@ -1248,12 +1072,10 @@ class ShardedSiteIndex:
     # -- shutdown --------------------------------------------------------
 
     def _release_segments(self) -> None:
-        self._ring_views.clear()  # live views pin the ring buffers
-        segments = list(self._shard_shms) + list(self._ring_shms)
+        segments = list(self._shard_shms)
         if self._genome_shm is not None:
             segments.append(self._genome_shm)
         self._shard_shms = []
-        self._ring_shms = []
         self._genome_shm = None
         for shm in segments:
             try:
@@ -1283,7 +1105,7 @@ class ShardedSiteIndex:
         """Graceful drain: stop workers, then unlink every segment.
 
         Waits for any batch in flight (the batch lock), so a close
-        never yanks the rings out from under a gather.  Idempotent,
+        never stops the workers under a gather.  Idempotent,
         and registered with :mod:`atexit` so a test or script that
         forgets to close still leaves ``/dev/shm`` clean.
         """

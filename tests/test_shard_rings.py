@@ -1,16 +1,18 @@
-"""Sharded-tier regression sweep: result rings, shard skipping,
-gather races, adaptive batching and auto-degrade.
+"""Sharded-tier regression sweep: the triple result path, shard
+skipping, gather races, adaptive batching and auto-degrade.
 
 Pins the fixes from the scatter/gather correctness pass:
 
-* results return through preallocated shared-memory rings (pickle only
-  on overflow), byte-identical to the in-process comparer;
+* workers return comparer triples and the parent renders every hit
+  with the in-process renderer, byte-identical to the in-process
+  comparer at any hit count, in packed and byte mode;
 * infeasible shards are skipped before the scatter;
 * ``_gather`` survives a worker whose ``process`` is ``None``, a
   duplicate pong no longer double-counts toward the ping quorum, a
   respawn mid-batch resets the gather deadline, and health/ping answer
   while a batch is in flight (the narrow-lock discipline);
-* the scheduler's adaptive controller and small-batch direct routing;
+* the scheduler's adaptive controller and small-batch direct routing,
+  and tier counters that cover both the scattered and direct paths;
 * ``auto_degrade`` / ``calibrate`` routing the tier out of the picture
   when the hop cannot win.
 """
@@ -28,12 +30,10 @@ from hypothesis import strategies as st
 from repro.core.config import Query
 from repro.core.patterns import compile_pattern
 from repro.genome.assembly import Assembly, Chromosome
-from repro.observability import tracing
 from repro.service import shards as shards_module
 from repro.service.index import GenomeSiteIndex
 from repro.service.scheduler import BatchScheduler
-from repro.service.shards import (DEFAULT_RING_RECORDS,
-                                  RING_RECORD_DTYPE, ShardedSiteIndex)
+from repro.service.shards import ShardedSiteIndex
 
 PATTERN = "NNNNNNRG"
 QUERIES = [Query("GACGTCNN", 3), Query("TTACGANN", 2)]
@@ -59,71 +59,27 @@ def ring_tier(index):
 
 
 @pytest.fixture(scope="module")
-def tiny_ring_tier(index):
-    """Four-record rings: any real batch overflows to the pickle path."""
-    with ShardedSiteIndex(index, shards=2, ring_records=4) as tier:
-        yield tier
-
-
-@pytest.fixture(scope="module")
-def noring_tier(index):
-    with ShardedSiteIndex(index, shards=2, ring_records=0) as tier:
+def byte_tier(byte_index):
+    with ShardedSiteIndex(byte_index, shards=2) as tier:
         yield tier
 
 
 # ---------------------------------------------------------------------------
-# Result rings
+# Triple result path
 # ---------------------------------------------------------------------------
+
+#: The per-shard result-ring capacity the tier had before workers
+#: returned triples; a batch above it must serve like any other.
+_OLD_RING_RECORDS = 1 << 16
+
 
 class TestResultRings:
-    def test_record_layout_is_16_bytes(self):
-        assert RING_RECORD_DTYPE.itemsize == 16
-
-    def test_ring_records_validation(self, index):
-        with pytest.raises(ValueError, match="ring_records"):
-            ShardedSiteIndex(index, shards=2, ring_records=-1,
-                             start=False)
-
     def test_ring_path_serves_byte_identical(self, index, ring_tier):
         before = ring_tier.comparer_stats()
         hits = ring_tier.query_batch(QUERIES)
         assert hits == index.query_batch(QUERIES)
         after = ring_tier.comparer_stats()
-        path = after["result_path"]
-        assert path["ring"] >= before["result_path"]["ring"] + 1
-        assert path["pickle"] == before["result_path"]["pickle"]
-        assert after["ring_high_water"] > 0
-        assert after["ring_records"] == DEFAULT_RING_RECORDS
-
-    def test_rings_reported_outside_index_total(self, ring_tier):
-        seg = ring_tier.segment_bytes()
-        assert seg["rings"] == \
-            2 * DEFAULT_RING_RECORDS * RING_RECORD_DTYPE.itemsize
-        assert seg["total"] == seg["genome"] + seg["shards"]
-
-    def test_overflow_falls_back_to_pickle(self, index,
-                                           tiny_ring_tier):
-        before = tiny_ring_tier.comparer_stats()
-        hits = tiny_ring_tier.query_batch(QUERIES)
-        assert hits == index.query_batch(QUERIES)
-        after = tiny_ring_tier.comparer_stats()
-        # QUERIES yields far more than 4 hits per shard on the small
-        # assembly, so both shards must have taken the pickle path.
-        assert after["result_path"]["pickle"] >= \
-            before["result_path"]["pickle"] + 2
-        assert after["result_path"]["ring"] == \
-            before["result_path"]["ring"]
-
-    def test_rings_disabled_still_byte_identical(self, index,
-                                                 noring_tier):
-        assert noring_tier.segment_bytes()["rings"] == 0
-        before = noring_tier.comparer_stats()
-        assert noring_tier.query_batch(QUERIES) == \
-            index.query_batch(QUERIES)
-        after = noring_tier.comparer_stats()
-        assert after["result_path"]["ring"] == 0
-        assert after["result_path"]["pickle"] >= \
-            before["result_path"]["pickle"] + 2
+        assert after["batches_sharded"] == before["batches_sharded"] + 1
 
     def test_byte_mode_tier_uses_rings_too(self, byte_index):
         with ShardedSiteIndex(byte_index, shards=2) as tier:
@@ -131,29 +87,34 @@ class TestResultRings:
                 byte_index.query_batch(QUERIES)
             stats = tier.comparer_stats()
         assert stats["mode"] == "byte"
-        assert stats["result_path"]["ring"] >= 1
+        assert stats["batches_sharded"] == 1
 
-    def test_ring_occupancy_counter_traced(self, ring_tier):
-        recorder = tracing.TraceRecorder()
-        tracing.activate(recorder)
-        try:
-            ring_tier.query_batch(QUERIES)
-        finally:
-            tracing.activate(None)
-        counters = [span for span in recorder.drain()
-                    if span.phase == "C"
-                    and span.name == "ring_occupancy"]
-        assert counters
-        assert all(value > 0 for span in counters
-                   for value in span.args.values())
+    def test_batch_above_old_ring_size_byte_identical(self):
+        """An all-``N`` guide hits every candidate: more hits than
+        the old ring held, rendered identically to in-process."""
+        rng = np.random.default_rng(99)
+        bases = np.frombuffer(b"ACGT", dtype=np.uint8)[
+            rng.integers(0, 4, 300_000)]
+        big = GenomeSiteIndex.build(
+            Assembly("big", [Chromosome("chrB", bases.copy())]),
+            PATTERN, chunk_size=1 << 15)
+        queries = [Query("NNNNNNNN", 0)]
+        expected = big.query_batch(queries)
+        assert len(expected[0]) > _OLD_RING_RECORDS
+        with ShardedSiteIndex(big, shards=2) as tier:
+            assert tier.query_batch(queries) == expected
 
-    def test_close_unlinks_ring_segments(self, index):
+    def test_only_site_segments_are_published(self, index):
         import os
-        tier = ShardedSiteIndex(index, shards=2)
-        names = [shm.name for shm in tier._ring_shms]
-        assert len(names) == 2
-        assert all(os.path.exists(f"/dev/shm/{n}") for n in names)
-        tier.close()
+        with ShardedSiteIndex(index, shards=2) as tier:
+            names = [shm.name for shm in tier._shard_shms]
+            assert [name.rsplit("-", 1)[1] for name in names] == \
+                ["s0", "s1"]
+            prefix = names[0].rsplit("-", 1)[0]
+            published = sorted(
+                name for name in os.listdir("/dev/shm")
+                if name.startswith(prefix))
+        assert published == sorted(names)
         assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
 
 
@@ -163,15 +124,13 @@ class TestRingByteIdentity:
         st.text(alphabet="ACGTRN", min_size=8, max_size=8),
         min_size=1, max_size=3))
     def test_ring_overflow_and_pickle_paths_agree(
-            self, index, ring_tier, tiny_ring_tier, noring_tier,
-            sequences):
-        """ring == overflow-pickle == rings-disabled == in-process."""
+            self, index, ring_tier, byte_tier, sequences):
+        """sharded packed == sharded byte == in-process."""
         queries = [Query(seq, mm) for mm, seq
                    in enumerate(sequences, start=1)]
         expected = index.query_batch(queries)
         assert ring_tier.query_batch(queries) == expected
-        assert tiny_ring_tier.query_batch(queries) == expected
-        assert noring_tier.query_batch(queries) == expected
+        assert byte_tier.query_batch(queries) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +201,8 @@ class TestGatherRegressions:
             worker.process.join(timeout=5.0)
             worker.process = None
             specs = [(q.sequence, q.max_mismatches) for q in QUERIES]
-            compiled = [compile_pattern(q.sequence) for q in QUERIES]
             with tier._batch_lock:
-                collected = tier._gather(0, list(QUERIES), specs,
-                                         compiled, False, [worker])
+                collected = tier._gather(0, specs, False, [worker])
             assert 0 in collected
             assert worker.respawns == 1
 
@@ -441,6 +398,37 @@ class TestAdaptiveScheduler:
         assert after == before + 1
 
 
+class TestTierCounters:
+    """Every query a packed tier serves is booked as packed or
+    fallback, whichever path served its batch."""
+
+    MIXED = [Query("GACGTCNN", 3), Query("GRCGTCNN", 3)]
+
+    @staticmethod
+    def _counts(stats):
+        return (stats["queries_packed"], stats["queries_fallback"],
+                stats["queries_total"])
+
+    def test_scattered_and_direct_paths_counted(self, ring_tier):
+        packed0, fallback0, total0 = self._counts(
+            ring_tier.comparer_stats())
+        ring_tier.query_batch(self.MIXED)
+        ring_tier.query_batch_direct(self.MIXED)
+        packed, fallback, total = self._counts(
+            ring_tier.comparer_stats())
+        assert total - total0 == 4
+        assert (packed - packed0, fallback - fallback0) == (2, 2)
+        assert packed + fallback == total
+
+    def test_degraded_path_counted(self, index, monkeypatch):
+        monkeypatch.setattr(shards_module.os, "cpu_count", lambda: 1)
+        with ShardedSiteIndex(index, shards=2,
+                              auto_degrade=True) as tier:
+            assert tier.degraded
+            tier.query_batch(self.MIXED)
+            assert self._counts(tier.comparer_stats()) == (1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Auto-degrade and calibration
 # ---------------------------------------------------------------------------
@@ -455,8 +443,7 @@ class TestAutoDegrade:
             # A degraded tier holds no workers and no shared memory.
             assert tier.shard_health() == []
             assert tier.ping() == {}
-            seg = tier.segment_bytes()
-            assert seg["total"] == 0 and seg["rings"] == 0
+            assert tier.segment_bytes()["total"] == 0
             assert tier.query_batch(QUERIES) == \
                 index.query_batch(QUERIES)
             stats = tier.comparer_stats()
