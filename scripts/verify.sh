@@ -43,6 +43,9 @@ python -m pytest benchmarks -q --benchmark-disable
 # Repo benchmark self-tests; they also pin the entry points its traced
 # run wraps (_handle_request, _timed_rpc and the design/variant globals).
 python -m pytest perfbench -q
+# Short seeded hits run of the repo benchmark: its exit status checks
+# served hits against the in-process search and the all-N hit count.
+python3 perfbench/run.py --workload hits --seed 1 --seconds 4 --trace 0
 # Every smoke and test above closed its tier; any surviving segment
 # is a leak and fails verification before the trap's cleanup can mask
 # it.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,7 +31,8 @@ from ..runtime.sycl import (Buffer, LocalAccessor, NdRange, Queue, Range,
                             TARGET_CONSTANT, free, malloc_device,
                             sycl_read, sycl_read_write, sycl_write)
 from .config import ExecutionPolicy, Query, SearchRequest
-from .patterns import MISMATCH_LUT, CompiledPattern, compile_pattern
+from .patterns import (COMPLEMENT_TABLE, MISMATCH_LUT, CompiledPattern,
+                       PatternError, compile_pattern)
 from .records import OffTargetHit, sort_hits
 from .workload import QueryWorkload, StageTimings, WorkloadProfile
 
@@ -196,8 +198,9 @@ class SearchAccumulator:
             self.bytes_d2h += mm_loci.nbytes + mm_count.nbytes \
                 + direction.nbytes
             self.hit_counts[qi] += mm_loci.size
-            self.hits.extend(self._build_hits(
-                chunk, cq, query, mm_loci, mm_count, direction))
+            self.hits.extend(render_hits(
+                chunk.data, chunk.chrom, chunk.start, query, cq,
+                mm_loci, mm_count, direction))
             if output.loci.size:
                 mean_f, n_f = _measure_trips(
                     chunk.data, output.loci, cq.comp, cq.comp_index,
@@ -242,24 +245,6 @@ class SearchAccumulator:
             ],
             stages=stages)
 
-    @staticmethod
-    def _build_hits(chunk: Chunk, cq: CompiledPattern, query: Query,
-                    mm_loci: np.ndarray, mm_count: np.ndarray,
-                    direction: np.ndarray) -> List[OffTargetHit]:
-        plen = cq.plen
-        out: List[OffTargetHit] = []
-        for lo, mm, d in zip(mm_loci, mm_count, direction):
-            lo = int(lo)
-            window = chunk.data[lo:lo + plen]
-            strand = "+" if d == ord("+") else "-"
-            codes = cq.sequence if strand == "+" else cq.rc_sequence
-            out.append(OffTargetHit.from_site(
-                query=query.sequence, chrom=chunk.chrom,
-                position=chunk.start + lo, strand=strand,
-                mismatches=int(mm), window=window, query_codes=codes))
-        return out
-
-
 @dataclass
 class PackedSites:
     """Resident 2-bit planes for one chunk's candidate windows.
@@ -303,6 +288,52 @@ class ResidentChunk:
     packed: Optional[PackedSites] = None
 
 
+def render_hits(data: np.ndarray, chrom: str, start: int, query: Query,
+                cq: CompiledPattern, mm_loci: np.ndarray,
+                mm_count: np.ndarray, direction: np.ndarray
+                ) -> List[OffTargetHit]:
+    """Render one query's hits in one chunk from its comparer triple.
+
+    ``mm_loci``/``mm_count``/``direction`` are the comparer outputs for
+    ``query`` over the chunk whose bases are ``data`` and whose first
+    base sits at ``start`` on ``chrom``.  All rows are rendered in one
+    numpy pass: gather every window (``-`` rows reversed), mark
+    mismatches against the query codes in the same orientation,
+    complement the ``-`` rows, lowercase the mismatched letters, then
+    decode the whole block once and slice one ``site`` per hit.
+    The result equals :meth:`OffTargetHit.from_site` applied row by row,
+    errors included: a non-IUPAC byte on a ``-`` row raises
+    :class:`~repro.core.patterns.PatternError`, and a window running
+    past the end of ``data`` raises ``IndexError``.
+    """
+    count = mm_loci.size
+    if count == 0:
+        return []
+    plen = cq.plen
+    loci = mm_loci.astype(np.intp)
+    forward = (direction == ord("+"))[:, None]
+    # Gather ``-`` rows reversed and compare them against the reversed
+    # reverse-complement query: the mismatch mask then comes out
+    # reversed with the window, already in display order.
+    offsets = np.arange(plen)
+    windows = data[loci[:, None] + np.where(forward, offsets,
+                                            offsets[::-1])]
+    codes = np.where(forward, cq.sequence, cq.rc_sequence[::-1])
+    mism = MISMATCH_LUT[codes, windows].astype(bool)
+    comp = COMPLEMENT_TABLE[windows]
+    if not (forward | comp).all():
+        raise PatternError("cannot complement non-IUPAC characters")
+    windows = np.where(forward, windows, comp)
+    windows[mism & (windows >= ord("A")) & (windows <= ord("Z"))] += 32
+    text = windows.tobytes().decode("ascii")
+    sites = [text[i:i + plen] for i in range(0, count * plen, plen)]
+    strands = ["+" if f else "-" for f in forward[:, 0].tolist()]
+    positions = (loci + start).tolist()
+    return list(map(OffTargetHit, repeat(query.sequence, count),
+                    repeat(chrom, count), positions, strands,
+                    mm_count.tolist(), sites))
+
+
 def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
                      compiled_queries: Sequence[CompiledPattern],
                      per_query: Sequence[Tuple[np.ndarray, np.ndarray,
@@ -315,13 +346,12 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
     comparer locally, and the sharded tier's parent uses it on the
     triples its shard workers send back — so a hit is rendered
     identically no matter which process computed the mismatch counts.
+    Each query's hits come from :func:`render_hits`, the renderer the
+    chunk loop's :class:`SearchAccumulator` uses too.
     """
-    chunk = Chunk(chrom=entry.chrom, start=entry.start,
-                  data=entry.data, scan_length=entry.scan_length)
-    return [SearchAccumulator._build_hits(chunk, cq, query,
-                                          *per_query[qi])
-            for qi, (query, cq)
-            in enumerate(zip(queries, compiled_queries))]
+    return [render_hits(entry.data, entry.chrom, entry.start, query, cq,
+                        *per_query[qi])
+            for qi, (query, cq) in enumerate(zip(queries, compiled_queries))]
 
 
 class _BasePipeline:
@@ -383,8 +413,8 @@ class _BasePipeline:
         ``entries`` is an iterable of :class:`ResidentChunk` (consumed
         lazily, so callers can stream chunk data in one at a time).
         Returns one ``[per-query hit list]`` per entry, in iteration
-        order; hits are built by the same
-        :meth:`SearchAccumulator._build_hits` the chunk loop uses, so
+        order; hits are built by :func:`build_entry_hits`, on the same
+        :func:`render_hits` the chunk loop uses, so
         concatenating the per-entry lists in chunk order reproduces a
         full search byte-for-byte.
 

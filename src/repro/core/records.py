@@ -6,22 +6,28 @@ bases and potential off-target DNA sequence with mismatched bases) in a
 file for analysis" (Section II.A).  :class:`OffTargetHit` is that record;
 :func:`write_hits` emits the classic Cas-OFFinder tab-separated format
 with mismatched bases shown in lowercase.
+
+A hit is a :class:`typing.NamedTuple`, so building one costs a tuple
+allocation: result sets run to thousands of hits per guide, and the
+served path builds every one of them.  Tuple semantics give the record
+its sort order (field by field, in declaration order), equality,
+hashing and immutability.  :meth:`OffTargetHit.from_site` renders one
+site at a time and is kept as the reference the vectorized per-chunk
+renderer (:func:`repro.core.pipeline.render_hits`) is tested against.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Union
 
 import numpy as np
 
 from .patterns import MISMATCH_LUT, reverse_complement
 
 
-@dataclass(frozen=True, order=True)
-class OffTargetHit:
+class OffTargetHit(NamedTuple):
     """One reported off-target site."""
 
     query: str          # query sequence as given (forward orientation)
@@ -51,9 +57,8 @@ class OffTargetHit:
             display = site_fwd.copy()
         lower = mism & (display >= ord("A")) & (display <= ord("Z"))
         display[lower] += 32
-        return cls(query=query, chrom=chrom, position=int(position),
-                   strand=strand, mismatches=int(mismatches),
-                   site=display.tobytes().decode("ascii"))
+        return cls(query, chrom, int(position), strand, int(mismatches),
+                   display.tobytes().decode("ascii"))
 
     def to_tsv(self) -> str:
         return (f"{self.query}\t{self.chrom}\t{self.position}\t"
@@ -62,8 +67,7 @@ class OffTargetHit:
 
 def sort_hits(hits: Iterable[OffTargetHit]) -> List[OffTargetHit]:
     """Canonical deterministic order for comparing result sets."""
-    return sorted(hits, key=lambda h: (h.query, h.chrom, h.position,
-                                       h.strand, h.mismatches, h.site))
+    return sorted(hits)
 
 
 HEADER = "#Query\tChromosome\tPosition\tSite\tDirection\tMismatches"
@@ -118,7 +122,6 @@ def read_hits(source: Union[str, os.PathLike, io.TextIOBase]
                 f"line {lineno}: expected 6 tab-separated fields, "
                 f"got {len(fields)}")
         query, chrom, position, site, strand, mismatches = fields
-        hits.append(OffTargetHit(query=query, chrom=chrom,
-                                 position=int(position), strand=strand,
-                                 mismatches=int(mismatches), site=site))
+        hits.append(OffTargetHit(query, chrom, int(position), strand,
+                                 int(mismatches), site))
     return hits

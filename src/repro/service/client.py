@@ -67,10 +67,11 @@ _ERROR_TYPES = {
 
 
 def _decode_hits(raw: List[List[Any]]) -> List[OffTargetHit]:
-    return [OffTargetHit(query=item[0], chrom=item[1],
-                         position=int(item[2]), site=item[3],
-                         strand=item[4], mismatches=int(item[5]))
-            for item in raw]
+    # Wire rows are [query, chrom, position, site, strand, mismatches];
+    # the record's field order puts site last.
+    return [OffTargetHit(query, chrom, int(position), strand,
+                         int(mismatches), site)
+            for query, chrom, position, site, strand, mismatches in raw]
 
 
 class ServiceClient:

@@ -12,9 +12,9 @@ expensive genome scan is amortized across every request that follows.
 Results are pinned byte-identical to an offline search: the comparer is
 re-staged from the stored host arrays through the same pipeline entry
 points (:meth:`~repro.core.pipeline._BasePipeline.compare_resident`,
-itself built on ``compare_candidates``), and hits are built by the same
-:meth:`~repro.core.pipeline.SearchAccumulator._build_hits` the chunk
-loop uses.
+itself built on ``compare_candidates``), and hits are rendered by the
+same :func:`~repro.core.pipeline.render_hits` the chunk loop uses, one
+numpy pass per chunk and query.
 
 By default the index keeps its candidate windows in the *packed* 2-bit
 resident form (:class:`~repro.core.pipeline.PackedSites` planes packed

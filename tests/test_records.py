@@ -1,11 +1,17 @@
 """Unit tests for off-target hit records and the output format."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.patterns import reverse_complement
+from repro.core.config import Query
+from repro.core.patterns import (PatternError, compile_pattern,
+                                 reverse_complement)
+from repro.core.pipeline import render_hits
 from repro.core.records import (HEADER, OffTargetHit, read_hits,
                                 sort_hits, write_hits)
 from repro.genome.fasta import sequence_to_array
@@ -28,7 +34,7 @@ class TestFromSite:
     def test_reverse_hit_displayed_in_query_orientation(self):
         window = seq("ACGTAGG")
         rc_query = reverse_complement(seq("CCTNACG"))  # compared vs window
-        hit = OffTargetHit.from_site("CCTNACG", "chr1", 5, "-", None or 0,
+        hit = OffTargetHit.from_site("CCTNACG", "chr1", 5, "-", 0,
                                      window, rc_query)
         # Display = revcomp(window), mismatch flags reversed.
         assert hit.site.upper() == "CCTACGT"
@@ -127,3 +133,151 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError):
             write_hits(poisoned(), path)
         assert list(tmp_path.iterdir()) == []
+
+
+FIELDS = ("query", "chrom", "position", "strand", "mismatches", "site")
+
+
+def field_tuple(hit):
+    return tuple(getattr(hit, name) for name in FIELDS)
+
+
+class TestRecordSemantics:
+    """The record keeps the semantics of a frozen, ordered dataclass
+    over the same six fields."""
+
+    def mixed_hits(self):
+        return [
+            OffTargetHit("GGCA", "chr2", 5, "+", 1, "GgCA"),
+            OffTargetHit("ACGT", "chr1", 9, "-", 0, "ACGT"),
+            OffTargetHit("ACGT", "chr1", 9, "+", 0, "ACGT"),
+            OffTargetHit("ACGT", "chr1", 9, "+", 2, "AcgT"),
+            OffTargetHit("ACGT", "chr1", 9, "+", 2, "ACgt"),
+            OffTargetHit("ACGT", "chr10", 2, "+", 2, "AcgT"),
+            OffTargetHit("ACGT", "chr1", 10, "-", 1, "ACGa"),
+        ]
+
+    def test_sorted_matches_field_tuple_order(self):
+        hits = self.mixed_hits()
+        assert sorted(hits) == sorted(hits, key=field_tuple)
+        assert sort_hits(hits) == sorted(hits)
+
+    def test_hashable_and_equal_by_fields(self):
+        a = OffTargetHit("ACGT", "chr1", 9, "+", 0, "ACGT")
+        b = OffTargetHit("ACGT", "chr1", 9, "+", 0, "ACGT")
+        c = OffTargetHit("ACGT", "chr1", 9, "-", 0, "ACGT")
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+
+    def test_fields_are_immutable(self):
+        hit = OffTargetHit("ACGT", "chr1", 9, "+", 0, "ACGT")
+        for name in FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(hit, name, getattr(hit, name))
+
+    def test_pickle_round_trip(self):
+        for hit in self.mixed_hits():
+            back = pickle.loads(pickle.dumps(hit))
+            assert back == hit and type(back) is OffTargetHit
+
+    def test_tsv_round_trip(self):
+        out = io.StringIO()
+        write_hits(self.mixed_hits(), out)
+        assert read_hits(io.StringIO(out.getvalue())) == self.mixed_hits()
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = OffTargetHit("ACGT", "chr1", 9, "-", 1, "ACGa")
+        keyword = OffTargetHit(site="ACGa", mismatches=1, strand="-",
+                               position=9, chrom="chr1", query="ACGT")
+        assert positional == keyword
+        assert field_tuple(positional) == ("ACGT", "chr1", 9, "-", 1,
+                                           "ACGa")
+
+
+def oracle_hits(data, chrom, start, query, cq, loci, counts, strands):
+    """The per-hit reference rendering the vectorized pass must equal."""
+    plen = cq.plen
+    return [OffTargetHit.from_site(
+                query.sequence, chrom, start + lo, strand, mm,
+                data[lo:lo + plen],
+                cq.sequence if strand == "+" else cq.rc_sequence)
+            for lo, mm, strand in zip(loci, counts, strands)]
+
+
+def triple(loci, counts, strands):
+    return (np.asarray(loci, dtype=np.uint32),
+            np.asarray(counts, dtype=np.uint8),
+            np.frombuffer("".join(strands).encode("ascii"), np.uint8))
+
+
+# Bases weighted towards ACGT, with N, the other IUPAC codes and a few
+# soft-masked (lowercase) bases mixed in.
+GENOME_ALPHABET = "ACGT" * 4 + "N" * 3 + "RYSWKMBDHV" + "acgtn"
+
+
+@st.composite
+def render_cases(draw):
+    concrete = draw(st.booleans())
+    guide_alphabet = "ACGT" if concrete else "ACGTRN"
+    guide = draw(st.text(alphabet=guide_alphabet, min_size=1, max_size=12))
+    plen = len(guide)
+    genome = draw(st.text(alphabet=GENOME_ALPHABET, min_size=plen,
+                          max_size=plen + 60))
+    last = len(genome) - plen
+    rows = draw(st.lists(st.tuples(st.integers(0, last),
+                                   st.sampled_from("+-"),
+                                   st.integers(0, plen)),
+                         max_size=12))
+    if draw(st.booleans()):
+        # A window ending exactly at the end of the chunk data.
+        rows.append((last, draw(st.sampled_from("+-")), 0))
+    start = draw(st.integers(0, 10_000))
+    return guide, genome, start, rows
+
+
+class TestRenderHits:
+    @settings(max_examples=200, deadline=None)
+    @given(case=render_cases())
+    def test_matches_per_hit_oracle(self, case):
+        guide, genome, start, rows = case
+        data = sequence_to_array(genome)
+        query = Query(guide, 3)
+        cq = compile_pattern(guide)
+        loci = [row[0] for row in rows]
+        strands = [row[1] for row in rows]
+        counts = [row[2] for row in rows]
+        got = render_hits(data, "chrQ", start, query, cq,
+                          *triple(loci, counts, strands))
+        want = oracle_hits(data, "chrQ", start, query, cq, loci, counts,
+                           strands)
+        assert got == want
+        assert [field_tuple(h) for h in got] == \
+            [field_tuple(h) for h in want]
+        for hit in got:
+            assert type(hit.position) is int
+            assert type(hit.mismatches) is int
+
+    def test_empty_triple(self):
+        cq = compile_pattern("ACGT")
+        assert render_hits(seq("ACGTACGT"), "c", 0, Query("ACGT", 1), cq,
+                           *triple([], [], [])) == []
+
+    def test_non_iupac_raises_on_reverse_row_only(self):
+        data = seq("ACGTACGT").copy()
+        data[6] = ord("!")
+        cq = compile_pattern("ACGT")
+        args = (data, "c", 0, Query("ACGT", 1), cq)
+        # On a "+" row the byte is shown as it is, as the oracle does.
+        assert render_hits(*args, *triple([0, 4], [0, 1], ["+", "+"])) \
+            == oracle_hits(*args, [0, 4], [0, 1], ["+", "+"])
+        with pytest.raises(PatternError):
+            oracle_hits(*args, [0, 4], [0, 1], ["+", "-"])
+        with pytest.raises(PatternError):
+            render_hits(*args, *triple([0, 4], [0, 1], ["+", "-"]))
+
+    def test_window_past_data_raises(self):
+        cq = compile_pattern("ACGT")
+        with pytest.raises(IndexError):
+            render_hits(seq("ACGTACG"), "c", 0, Query("ACGT", 1), cq,
+                        *triple([4], [0], ["+"]))
