@@ -46,6 +46,9 @@ python -m pytest perfbench -q
 # Short seeded hits run of the repo benchmark: its exit status checks
 # served hits against the in-process search and the all-N hit count.
 python3 perfbench/run.py --workload hits --seed 1 --seconds 4 --trace 0
+# Short seeded scan run: every sampled guide must hit and a served
+# subset must equal the in-process search, over the seed prefilter.
+python3 perfbench/run.py --workload scan --seed 1 --seconds 4 --trace 0
 # Every smoke and test above closed its tier; any surviving segment
 # is a leak and fails verification before the trap's cleanup can mask
 # it.

@@ -9,7 +9,7 @@ module implements that algorithm, both as an offline baseline engine and
 as the serving tier's resident hot path:
 
 * each candidate window is packed into a 64-bit word, two bits per base
-  (A=0, C=1, G=2, T=3), via a vectorized gather + dot product;
+  (A=0, C=1, G=2, T=3);
 * mismatches against a packed query are counted in O(1) per window with
   the classic trick: ``x = a ^ b; m = (x | x >> 1) & 0x5555...;
   popcount(m)`` — every differing 2-bit group contributes exactly one
@@ -28,6 +28,24 @@ number of queries with pure XOR/popcount over the stored planes, no
 genome gather at all.  Emission order replicates the batched vectorized
 kernel block-for-block, so demultiplexed results are byte-identical.
 
+The resident form also carries a *pigeonhole seed prefilter*, after
+FlashFry's binning.  :func:`seed_layout` cuts the PAM pattern's longest
+``N`` run into 4-nt blocks counted from its start (``N``x21 + ``RG``
+gives forward starts 0, 4, 8, 12, 16; reverse-strand blocks are the
+mirror, ``plen - 4 - start``).  :func:`build_seed_tables` stores, per
+chunk and strand, the strand's candidate indices once plus, per block,
+one order array stably sorted by the block's 8-bit code and 257 + 1
+bucket bounds.  A block holding a non-ACGT genome base goes to a
+sentinel bucket no query looks up; that is exact, because the invalid
+plane makes genome ``N`` mismatch every concrete query base.  Index
+arrays are ``uint16`` for chunks of at most 65,536 candidates and
+``uint32`` above, so the tables cost about 12 B per site-strand (24 B
+at ``uint32``) plus 10 KB of bounds per chunk and strand.  A query with
+``k`` fully checked blocks and ``max_mismatches <= k - 1`` must match
+one of them exactly, so it compares only the union of its ``k``
+buckets; a query with fewer usable blocks compares the strand's whole
+candidate list.  Both feed the same XOR/popcount lines.
+
 The restriction, shared with FlashFry: query *checked* positions must be
 concrete A/C/G/T (ambiguity codes other than the skipped ``N`` cannot be
 expressed in two bits).  The PAM pattern is unrestricted — candidate
@@ -39,6 +57,7 @@ responses byte-identical in all cases.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
@@ -62,6 +81,10 @@ _CODE[ord("T")] = 3
 _VALID = np.zeros(256, dtype=bool)
 for _b in b"ACGT":
     _VALID[_b] = True
+
+#: Byte-wide twins of ``_CODE`` and ``~_VALID`` for whole-chunk lookups.
+_CODE8 = _CODE.astype(np.uint8)
+_INVALID8 = (~_VALID).astype(np.uint8)
 
 #: Per-byte popcount lookup.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)],
@@ -182,29 +205,36 @@ for _b in b"ACGTN":
 
 
 def pack_site_windows(chunk_data: np.ndarray, loci: np.ndarray,
-                      plen: int) -> PackedSites:
+                      flags: np.ndarray, layout: SeedLayout
+                      ) -> PackedSites:
     """Pack all candidate windows of one chunk into resident planes.
 
     Returns :class:`~repro.core.pipeline.PackedSites` with ``words[i] =
-    sum(code(window[p]) << 2p)`` and ``invalid[i]`` carrying bit ``2p``
-    for every non-ACGT window position ``p``.  Query-independent, so the
+    sum(code(window[p]) << 2p)``, ``invalid[i]`` carrying bit ``2p``
+    for every non-ACGT window position ``p``, and the chunk's seed
+    tables (:func:`build_seed_tables`).  Query-independent, so the
     index computes this once per chunk at build time.
     """
+    plen = layout.plen
     if plen > MAX_CHECKED_POSITIONS:
         raise PatternError(
             f"packed windows hold at most {MAX_CHECKED_POSITIONS} "
             f"positions, pattern has {plen}")
-    if loci.size == 0:
-        return PackedSites(words=np.zeros(0, np.uint64),
-                           invalid=np.zeros(0, np.uint64))
-    windows = chunk_data[loci.astype(np.int64)[:, None]
-                         + np.arange(plen, dtype=np.int64)[None, :]]
-    weights = (np.uint64(1)
-               << (2 * np.arange(plen, dtype=np.uint64)))[None, :]
-    words = (_CODE[windows] * weights).sum(axis=1, dtype=np.uint64)
-    invalid = ((~_VALID[windows]).astype(np.uint64)
-               * weights).sum(axis=1, dtype=np.uint64)
-    return PackedSites(words=words, invalid=invalid)
+    # One pass per window position keeps temporaries at O(sites),
+    # not O(sites x plen).
+    loci = loci.astype(np.intp)
+    codes = _CODE8[chunk_data]
+    invalid_bases = _INVALID8[chunk_data]
+    words = np.zeros(loci.size, np.uint64)
+    invalid = np.zeros(loci.size, np.uint64)
+    for p in range(plen):
+        at = loci + p
+        shift = np.uint64(2 * p)
+        words |= codes[at].astype(np.uint64) << shift
+        invalid |= invalid_bases[at].astype(np.uint64) << shift
+    return PackedSites(words=words, invalid=invalid,
+                       seeds=build_seed_tables(words, invalid, flags,
+                                               layout))
 
 
 @dataclass(frozen=True)
@@ -239,19 +269,206 @@ def pack_query_window(cq: CompiledPattern, offset: int
     return PackedWindowQuery(word=word, care=care)
 
 
-@lru_cache(maxsize=512)
-def _window_query_cached(sequence: str, offset: int) -> PackedWindowQuery:
-    return pack_query_window(compile_pattern(sequence), offset)
+# ---------------------------------------------------------------------------
+# Pigeonhole seed tables: compare bucket survivors, not every site
+# ---------------------------------------------------------------------------
+#
+# A site within ``k - 1`` mismatches of a guide matches at least one of
+# ``k`` disjoint, fully checked 4-nt blocks exactly.  Each chunk keeps,
+# per strand and block, its candidates sorted by the block's 8-bit code,
+# so a guide's survivors are the union of its ``k`` buckets (about
+# ``k / 256`` of the strand's sites on random sequence).
+
+#: Bases per seed block: one block's 2-bit codes fill one byte.
+SEED_BLOCK = 4
+
+#: Bucket for blocks holding a non-ACGT genome base.  No guide code
+#: selects it: such a block mismatches every concrete guide base, so
+#: it can never be the block that matches exactly.
+_SENTINEL_BUCKET = 256
+
+#: Buckets per block: the 256 codes plus the sentinel.
+_BUCKETS = _SENTINEL_BUCKET + 1
 
 
-def window_packable(cq: CompiledPattern) -> bool:
-    """True when both strands of a compiled query fit the packed form."""
-    try:
-        _window_query_cached(cq.decode(), 0)
-        _window_query_cached(cq.decode(), cq.plen)
-    except PatternError:
-        return False
-    return True
+@dataclass(frozen=True)
+class SeedLayout:
+    """Where one pattern's seed blocks sit in the site window.
+
+    ``forward`` holds the block starts on the forward strand: the
+    pattern's longest ``N`` run cut into 4-nt blocks from its start.
+    Reverse-strand windows hold the reverse complement, so their blocks
+    are the mirror images, ``plen - 4 - start``.
+    """
+
+    plen: int
+    forward: Tuple[int, ...]
+
+    @property
+    def reverse(self) -> Tuple[int, ...]:
+        return tuple(self.plen - SEED_BLOCK - s for s in self.forward)
+
+    def starts(self, strand: int) -> Tuple[int, ...]:
+        """Block starts of strand ``0`` (forward) or ``1`` (reverse)."""
+        return self.reverse if strand else self.forward
+
+
+def seed_layout(pattern: CompiledPattern) -> SeedLayout:
+    """The seed layout of a PAM pattern (``N``x21 + ``RG`` gives
+    forward starts 0, 4, 8, 12, 16; a pattern without a 4-``N`` run
+    gets no blocks, and every query then takes the full scan)."""
+    runs = [m.span() for m in re.finditer("N+", pattern.decode())]
+    start, end = max(runs, key=lambda run: run[1] - run[0],
+                     default=(0, 0))
+    return SeedLayout(plen=pattern.plen, forward=tuple(
+        range(start, end - SEED_BLOCK + 1, SEED_BLOCK)))
+
+
+def _block_shifts(layout: SeedLayout, strand: int) -> np.ndarray:
+    """Bit offsets of one strand's seed blocks in a packed word."""
+    return 2 * np.asarray(layout.starts(strand), dtype=np.uint64)
+
+
+@dataclass(frozen=True)
+class StrandSeeds:
+    """One strand's seed tables for one chunk.
+
+    ``index`` lists the strand's candidate indices in ascending order
+    (the full-scan candidate set).  Row ``b`` of ``order`` holds the
+    same indices stably sorted by block ``b``'s code.  With ``k = 257
+    * b + c``, bucket ``c`` of block ``b`` is
+    ``order.ravel()[offsets[k]:offsets[k + 1]]``.
+    """
+
+    index: np.ndarray    # (n,) uint16/uint32 candidate indices
+    order: np.ndarray    # (blocks, n) same dtype, bucket-sorted
+    offsets: np.ndarray  # (257 * blocks + 1,) int64 bucket bounds
+
+
+@dataclass(frozen=True)
+class SeedTables:
+    """Per-chunk seed tables: the layout plus forward/reverse strands."""
+
+    layout: SeedLayout
+    strands: Tuple[StrandSeeds, StrandSeeds]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for strand in self.strands
+                   for array in (strand.index, strand.order,
+                                 strand.offsets))
+
+
+def build_seed_tables(words: np.ndarray, invalid: np.ndarray,
+                      flags: np.ndarray, layout: SeedLayout
+                      ) -> SeedTables:
+    """Bucket one chunk's packed windows by every seed block's code.
+
+    Index arrays are ``uint16`` when the chunk has at most 65,536
+    candidates and ``uint32`` otherwise.  All blocks of a strand are
+    sorted in one stable (radix) argsort, so the tables cost one
+    vectorized pass over the resident planes.
+    """
+    dtype = np.uint16 if words.size <= 1 << 16 else np.uint32
+    strands = []
+    for strand in (0, 1):
+        # Flag 0 sites are on both strands, 1 forward only, 2 reverse.
+        index = np.flatnonzero((flags == 0) | (flags == strand + 1)
+                               ).astype(dtype)
+        shifts = _block_shifts(layout, strand)[:, None]
+        keys = ((words[index][None, :] >> shifts)
+                & np.uint64(0xFF)).astype(np.uint16)
+        keys[((invalid[index][None, :] >> shifts)
+              & np.uint64(0x55)) != 0] = _SENTINEL_BUCKET
+        # Row b's keys lie in [257 b, 257 b + 256], so one cumulative
+        # count over all rows gives positions in the flattened order.
+        keys += (_BUCKETS * np.arange(shifts.size, dtype=np.uint16)
+                 )[:, None]
+        offsets = np.zeros(_BUCKETS * shifts.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys.ravel(), minlength=offsets.size - 1),
+                  out=offsets[1:])
+        strands.append(StrandSeeds(
+            index=index,
+            order=index[np.argsort(keys, axis=1, kind="stable")],
+            offsets=offsets))
+    return SeedTables(layout=layout, strands=tuple(strands))
+
+
+@dataclass(frozen=True)
+class GuideBatch:
+    """One batch of guides packed for the resident comparer.
+
+    Rows follow the batch's query order.  Rows of guides that cannot be
+    packed (``packable`` false) hold zeros and are never compared.
+    A block is *usable* for a guide when all of its positions are
+    checked; a packable guide is *seeded* when it has more usable
+    blocks than its mismatch budget, so the union of its usable
+    blocks' buckets holds every hit.  Each ``(seeded row, usable
+    block)`` pair is one bucket lookup, ``bucket[strand]`` being its
+    position in a chunk's :attr:`StrandSeeds.offsets`.
+    """
+
+    packable: np.ndarray    # (nq,) bool
+    words: np.ndarray       # (2, nq) uint64 forward/reverse words
+    cares: np.ndarray       # (2, nq) uint64 checked-position masks
+    thresholds: np.ndarray  # (nq,) int64 mismatch budgets
+    seeded: np.ndarray      # (nq,) bool
+    full_rows: np.ndarray   # (f,) int64 packable rows not seeded
+    lookup_rows: np.ndarray  # (p,) int64 row of each bucket lookup
+    bucket: np.ndarray      # (2, p) int64 ``257 * block + code``
+
+
+@lru_cache(maxsize=64)
+def guide_batch(specs: Tuple[Tuple[str, int], ...],
+                layout: SeedLayout) -> GuideBatch:
+    """Pack a batch of ``(sequence, max_mismatches)`` guides once.
+
+    The comparer runs once per chunk with the same batch, so the packed
+    words, care masks and usable-block codes are computed for the
+    first chunk (or the index's batch counters) and every later chunk
+    reuses them.  Both strands have the same usable blocks, because
+    the reverse layout mirrors the forward one.  The arrays are shared
+    and read-only.
+    """
+    nq = len(specs)
+    words = np.zeros((2, nq), dtype=np.uint64)
+    cares = np.zeros((2, nq), dtype=np.uint64)
+    packable = np.zeros(nq, dtype=bool)
+    for row, (sequence, _) in enumerate(specs):
+        cq = compile_pattern(sequence)
+        try:
+            strands = (pack_query_window(cq, 0),
+                       pack_query_window(cq, cq.plen))
+        except PatternError:
+            continue
+        packable[row] = True
+        for strand, packed in enumerate(strands):
+            words[strand, row] = packed.word
+            cares[strand, row] = packed.care
+    usable = ((cares[0][:, None] >> _block_shifts(layout, 0))
+              & np.uint64(0x55)) == 0x55
+    thresholds = np.array([mm for _, mm in specs], dtype=np.int64)
+    seeded = packable & (usable.sum(axis=1) > thresholds)
+    lookup_rows, blocks = np.nonzero(usable & seeded[:, None])
+    bucket = np.stack([
+        blocks * _BUCKETS
+        + ((words[strand, lookup_rows]
+            >> _block_shifts(layout, strand)[blocks])
+           & np.uint64(0xFF)).astype(np.int64)
+        for strand in (0, 1)])
+    batch = GuideBatch(
+        packable=packable, words=words, cares=cares,
+        thresholds=thresholds, seeded=seeded,
+        full_rows=np.flatnonzero(packable & ~seeded),
+        lookup_rows=lookup_rows, bucket=bucket)
+    for array in vars(batch).values():
+        array.flags.writeable = False
+    return batch
+
+
+def batch_specs(queries: Sequence[Query]) -> Tuple[Tuple[str, int], ...]:
+    """The :func:`guide_batch` cache key of a query list."""
+    return tuple((q.sequence, int(q.max_mismatches)) for q in queries)
 
 
 #: Mirrors :meth:`repro.runtime.executor.NDRangeExecutor.run_vectorized`:
@@ -262,72 +479,86 @@ def window_packable(cq: CompiledPattern) -> bool:
 _VECTORIZED_BLOCK_ITEMS = 1 << 20
 
 
+def _mismatches(words: np.ndarray, invalid: np.ndarray,
+                qwords: np.ndarray, qcares: np.ndarray) -> np.ndarray:
+    """Checked mismatches of site windows against query strands (any
+    broadcastable shapes): XOR, odd-bit fold, invalid positions forced
+    on, care mask, popcount."""
+    x = words ^ qwords
+    m = ((x | (x >> np.uint64(1))) & _ODD_BITS) | invalid
+    m &= qcares
+    return popcount64(m)
+
+
+def _strand_hits(packed: PackedSites, strand: int, guides: GuideBatch
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, candidate, mismatches)`` of one strand's hits.
+
+    Seeded rows compare the union of their usable blocks' buckets,
+    deduplicated and ascending per row: every bucket is gathered at
+    once with one offsets lookup and a ``repeat`` + ``arange`` index.
+    The other packable rows compare the strand's whole candidate list.
+    Both go through :func:`_mismatches`.
+    """
+    seeds = packed.seeds.strands[strand]
+    count = packed.words.size
+    qwords, qcares = guides.words[strand], guides.cares[strand]
+    lo = seeds.offsets[guides.bucket[strand]]
+    lengths = seeds.offsets[guides.bucket[strand] + 1] - lo
+    ends = np.cumsum(lengths)
+    flat = (np.repeat(lo - ends + lengths, lengths)
+            + np.arange(ends[-1] if ends.size else 0))
+    keys = (np.repeat(guides.lookup_rows * count, lengths)
+            + seeds.order.ravel()[flat])
+    keys.sort()
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    q, c = np.divmod(keys, count)
+    counts = _mismatches(packed.words[c], packed.invalid[c], qwords[q],
+                         qcares[q])
+    keep = counts <= guides.thresholds[q]
+    full = guides.full_rows
+    if not full.size:
+        return q[keep], c[keep], counts[keep]
+    index = seeds.index.astype(np.int64)
+    full_counts = _mismatches(packed.words[index][None, :],
+                              packed.invalid[index][None, :],
+                              qwords[full, None], qcares[full, None])
+    r, col = np.nonzero(full_counts <= guides.thresholds[full, None])
+    return (np.concatenate([q[keep], full[r]]),
+            np.concatenate([c[keep], index[col]]),
+            np.concatenate([counts[keep], full_counts[r, col]]))
+
+
 def compare_packed_batched(packed: PackedSites, loci: np.ndarray,
-                           flags: np.ndarray,
-                           queries: Sequence[Query],
-                           compiled_queries: Sequence[CompiledPattern],
+                           guides: GuideBatch
                            ) -> List[Tuple[np.ndarray, np.ndarray,
                                            np.ndarray]]:
     """All-queries comparer over resident packed planes, one chunk.
 
-    Returns per-query ``(mm_loci, mm_count, direction)`` triples in the
-    exact emission order of the batched vectorized kernel (per
-    work-item block: ascending forward-strand candidates, then reverse),
-    filtered to each query's mismatch budget.  Every query must satisfy
-    :func:`window_packable`; the caller routes others to the byte
-    comparer.
+    Returns one ``(mm_loci, mm_count, direction)`` triple per row of
+    ``guides`` in the exact emission order of the batched vectorized
+    kernel (per work-item block: ascending forward-strand candidates,
+    then reverse), filtered to each query's mismatch budget.  Rows that
+    are not packable get empty triples; the caller routes those queries
+    to the byte comparer.
     """
-    nq = len(queries)
     count = int(loci.size)
-    out: List[List[np.ndarray]] = [[] for _ in range(nq)]
-    qwords = np.array([_window_query_cached(cq.decode(), 0).word
-                       for cq in compiled_queries], dtype=np.uint64)
-    qcares = np.array([_window_query_cached(cq.decode(), 0).care
-                       for cq in compiled_queries], dtype=np.uint64)
-    rwords = np.array(
-        [_window_query_cached(cq.decode(), cq.plen).word
-         for cq in compiled_queries], dtype=np.uint64)
-    rcares = np.array(
-        [_window_query_cached(cq.decode(), cq.plen).care
-         for cq in compiled_queries], dtype=np.uint64)
-    thresholds = [int(q.max_mismatches) for q in queries]
-    one = np.uint64(1)
-    for start in range(0, count, _VECTORIZED_BLOCK_ITEMS):
-        end = min(start + _VECTORIZED_BLOCK_ITEMS, count)
-        f = flags[start:end]
-        blk_loci = loci[start:end]
-        blk_words = packed.words[start:end]
-        blk_invalid = packed.invalid[start:end]
-        for words_q, cares_q, direction_char, strand_sel in (
-                (qwords, qcares, ord("+"), (f == 0) | (f == 1)),
-                (rwords, rcares, ord("-"), (f == 0) | (f == 2))):
-            sub = blk_loci[strand_sel]
-            if sub.size == 0:
-                continue
-            x = blk_words[strand_sel][None, :] ^ words_q[:, None]
-            m = ((x | (x >> one)) & _ODD_BITS) \
-                | blk_invalid[strand_sel][None, :]
-            m &= cares_q[:, None]
-            counts = popcount64(m)
-            for q in range(nq):
-                keep = counts[q] <= thresholds[q]
-                kept = int(keep.sum())
-                if not kept:
-                    continue
-                out[q].append((
-                    sub[keep].astype(np.uint32),
-                    counts[q][keep].astype(np.uint16),
-                    np.full(kept, direction_char, dtype=np.uint8)))
-    results = []
-    for q in range(nq):
-        if out[q]:
-            results.append(tuple(np.concatenate(parts)
-                                 for parts in zip(*out[q])))
-        else:
-            results.append((np.zeros(0, np.uint32),
-                            np.zeros(0, np.uint16),
-                            np.zeros(0, np.uint8)))
-    return results
+    parts = []
+    for strand in (0, 1):
+        q, c, counts = _strand_hits(packed, strand, guides)
+        parts.append((q, c, counts, np.full(q.size, strand)))
+    q, c, counts, strand = (np.concatenate(p) for p in zip(*parts))
+    blocks = count // _VECTORIZED_BLOCK_ITEMS + 1
+    order = np.argsort(
+        ((q * blocks + c // _VECTORIZED_BLOCK_ITEMS) * 2 + strand)
+        * count + c)
+    bounds = np.searchsorted(q[order], np.arange(len(guides.seeded) + 1))
+    c, strand = c[order], strand[order]
+    mm_loci = loci[c].astype(np.uint32)
+    mm_count = counts[order].astype(np.uint16)
+    direction = np.where(strand == 0, ord("+"), ord("-")).astype(np.uint8)
+    return [(mm_loci[lo:hi], mm_count[lo:hi], direction[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class BitParallelComparer:

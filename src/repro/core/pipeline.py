@@ -17,7 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .patterns import (COMPLEMENT_TABLE, MISMATCH_LUT, CompiledPattern,
                        PatternError, compile_pattern)
 from .records import OffTargetHit, sort_hits
 from .workload import QueryWorkload, StageTimings, WorkloadProfile
+
+if TYPE_CHECKING:  # bitparallel imports this module at its top level
+    from .bitparallel import SeedTables
 
 #: Default device chunk size in bases (the real application sizes chunks
 #: to device memory; 4 MiB keeps Python-side latencies reasonable while
@@ -252,18 +256,21 @@ class PackedSites:
     ``words[i]`` packs candidate ``i``'s full window at two bits per
     position (A=0, C=1, G=2, T=3, codes ascending from bit 0);
     ``invalid[i]`` sets bit ``2p`` for every window position ``p`` whose
-    byte was not concrete A/C/G/T.  Both are query-independent, so
-    :class:`repro.service.index.GenomeSiteIndex` computes them once at
-    build time and every batch reuses them
+    byte was not concrete A/C/G/T; ``seeds`` buckets the candidates by
+    each seed block's code
+    (:class:`repro.core.bitparallel.SeedTables`).  All are
+    query-independent, so :class:`repro.service.index.GenomeSiteIndex`
+    computes them once at build time and every batch reuses them
     (:func:`repro.core.bitparallel.compare_packed_batched`).
     """
 
     words: np.ndarray    # uint64, one packed window per candidate
     invalid: np.ndarray  # uint64 odd-bit mask of non-ACGT positions
+    seeds: SeedTables
 
     @property
     def nbytes(self) -> int:
-        return self.words.nbytes + self.invalid.nbytes
+        return self.words.nbytes + self.invalid.nbytes + self.seeds.nbytes
 
 
 @dataclass
@@ -449,21 +456,13 @@ class _BasePipeline:
         """Packed comparer for packable queries, byte fallback for the
         rest; triples merged back in input order."""
         # Deferred: bitparallel imports this module at its top level.
-        from .bitparallel import (compare_packed_batched,
-                                  window_packable)
-        packable = [window_packable(cq) for cq in compiled_queries]
-        per_query: List[Optional[Tuple[np.ndarray, np.ndarray,
-                                       np.ndarray]]] = \
-            [None] * len(queries)
-        packed_idx = [i for i, ok in enumerate(packable) if ok]
-        if packed_idx:
-            packed_out = compare_packed_batched(
-                entry.packed, entry.loci, entry.flags,
-                [queries[i] for i in packed_idx],
-                [compiled_queries[i] for i in packed_idx])
-            for slot, i in enumerate(packed_idx):
-                per_query[i] = packed_out[slot]
-        fallback_idx = [i for i, ok in enumerate(packable) if not ok]
+        from .bitparallel import (batch_specs, compare_packed_batched,
+                                  guide_batch)
+        guides = guide_batch(batch_specs(queries),
+                             entry.packed.seeds.layout)
+        per_query = compare_packed_batched(entry.packed, entry.loci,
+                                           guides)
+        fallback_idx = np.flatnonzero(~guides.packable).tolist()
         if fallback_idx:
             byte_out = self.compare_candidates(
                 entry.data, entry.loci, entry.flags,

@@ -27,6 +27,24 @@ byte comparer (``packed_disabled_reason`` records why).  Queries with
 ambiguity codes at checked positions always fall back to the byte
 comparer per query, so responses stay byte-identical either way.
 
+Packed chunks also carry pigeonhole seed tables
+(:func:`~repro.core.bitparallel.build_seed_tables`), built from the
+planes by :meth:`GenomeSiteIndex.build`, by :meth:`GenomeSiteIndex.load`
+(derived from the stored planes, so the on-disk format is unchanged)
+and at shard-worker attach.  The layout comes from the pattern: its
+longest ``N`` run cut into 4-nt blocks from its start, reverse-strand
+blocks mirrored to ``plen - 4 - start``.  Per chunk and strand the
+tables hold the strand's candidate indices, one code-sorted order
+array per block and 257 + 1 bucket bounds per block; a block holding a
+genome ``N`` sits in a sentinel bucket no query looks up, which is
+exact because genome ``N`` mismatches every concrete query base.  That
+is ~12 B per site-strand with ``uint16`` indices (chunks of up to
+65,536 candidates; ``uint32`` above) plus ~10 KB of bounds per chunk
+and strand.  A packed query with ``k`` fully checked blocks and
+``max_mismatches <= k - 1`` compares only the union of its ``k``
+buckets (``queries_prefiltered`` in :meth:`comparer_stats`); with
+fewer usable blocks it compares the strand's every candidate.
+
 Persistence reuses the :mod:`repro.resilience.checkpoint` fingerprint
 machinery: ``save`` writes a versioned ``index.json`` header carrying a
 SHA-256 manifest fingerprint over (genome identity, pattern, chunk
@@ -52,8 +70,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bitparallel import (acgtn_only, pack_site_windows,
-                                window_packable)
+from ..core.bitparallel import (acgtn_only, batch_specs,
+                                build_seed_tables, guide_batch,
+                                pack_site_windows, seed_layout)
 from ..core.config import Query
 from ..core.patterns import MISMATCH_LUT, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
@@ -241,6 +260,8 @@ class GenomeSiteIndex:
         #: Effective comparer mode; may be degraded from the request.
         self.packed = bool(packed)
         self.packed_disabled_reason: Optional[str] = None
+        #: Seed-block placement of the packed comparer's prefilter.
+        self.seed_layout = seed_layout(self.compiled_pattern)
         if self.packed and self.compiled_pattern.plen \
                 > MAX_PACKED_PATTERN:
             self._disable_packed(
@@ -249,6 +270,7 @@ class GenomeSiteIndex:
         self._stats_lock = threading.Lock()
         self._queries_packed = 0
         self._queries_fallback = 0
+        self._queries_prefiltered = 0
         self._batches = 0
         self._queries_total = 0
         self._entries_scanned = 0
@@ -382,7 +404,8 @@ class GenomeSiteIndex:
             if index.packed:
                 if acgtn_only(chunk.data):
                     entry.packed = pack_site_windows(
-                        chunk.data, entry.loci, plen)
+                        chunk.data, entry.loci, entry.flags,
+                        index.seed_layout)
                 else:
                     index._disable_packed(
                         f"chunk {number} ({chunk.chrom}:{chunk.start}) "
@@ -479,10 +502,12 @@ class GenomeSiteIndex:
             self._queries_total += len(compiled)
             self._entries_scanned += n_ref + extras
             if self.packed:
-                packed_n = sum(1 for cq in compiled
-                               if window_packable(cq))
+                guides = guide_batch(batch_specs(queries),
+                                     self.seed_layout)
+                packed_n = int(guides.packable.sum())
                 self._queries_packed += packed_n
                 self._queries_fallback += len(compiled) - packed_n
+                self._queries_prefiltered += int(guides.seeded.sum())
         return queries, compiled, n_ref
 
     def _resident_entries(self):
@@ -507,6 +532,7 @@ class GenomeSiteIndex:
         with self._stats_lock:
             queries_packed = self._queries_packed
             queries_fallback = self._queries_fallback
+            queries_prefiltered = self._queries_prefiltered
             batches = self._batches
             queries_total = self._queries_total
             entries_scanned = self._entries_scanned
@@ -515,6 +541,9 @@ class GenomeSiteIndex:
             "packed_disabled_reason": self.packed_disabled_reason,
             "queries_packed": queries_packed,
             "queries_fallback": queries_fallback,
+            # Packed queries with enough usable seed blocks for their
+            # budget: they compared bucket survivors, not every site.
+            "queries_prefiltered": queries_prefiltered,
             # One ``query_batch`` call == one batched comparer pass over
             # the resident chunks.  ``queries_total / batches`` therefore
             # proves how many guides shared each launch pass — the
@@ -661,7 +690,6 @@ class GenomeSiteIndex:
                 f"(stored {header.get('sites_sha256')!r}, actual "
                 f"{digest!r}); the file is corrupt — rebuild the index")
         import io
-        plen = index.compiled_pattern.plen
         with np.load(io.BytesIO(blob)) as arrays:
             chrom_names = list(header["chrom_names"])
             offsets = arrays["site_offsets"]
@@ -685,12 +713,17 @@ class GenomeSiteIndex:
                     data=assembly.fetch(chrom, start, start + length))
                 if index.packed:
                     if stored_words is not None:
+                        words = stored_words[lo:hi].copy()
+                        invalid = stored_invalid[lo:hi].copy()
                         entry.packed = PackedSites(
-                            words=stored_words[lo:hi].copy(),
-                            invalid=stored_invalid[lo:hi].copy())
+                            words=words, invalid=invalid,
+                            seeds=build_seed_tables(
+                                words, invalid, entry.flags,
+                                index.seed_layout))
                     elif acgtn_only(entry.data):
                         entry.packed = pack_site_windows(
-                            entry.data, entry.loci, plen)
+                            entry.data, entry.loci, entry.flags,
+                            index.seed_layout)
                     else:
                         index._disable_packed(
                             f"chunk {i} ({chrom}:{start}) holds bytes "

@@ -22,8 +22,8 @@ loci are strictly ascending and unique, so the mask is lossless), and
 2-bit strand flags (4 per byte).  No genome segment is published at
 all.  Each worker decodes its slice privately at attach time and
 repacks the resident :class:`~repro.core.pipeline.PackedSites` planes
-once, so the per-batch hot path runs the bit-parallel comparer with
-zero shared-memory gathers.  Byte mode keeps the original layout
+and their seed tables once, so the per-batch hot path runs the
+prefiltered bit-parallel comparer with zero shared-memory gathers.  Byte mode keeps the original layout
 (genome segment + per-shard ``loci``/``flags``).
 
 Workers never build hits.  Each one returns, on the shared results
@@ -92,7 +92,8 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bitparallel import pack_site_windows, window_packable
+from ..core.bitparallel import (SeedLayout, batch_specs, guide_batch,
+                                pack_site_windows)
 from ..core.config import Query
 from ..core.patterns import compile_pattern
 from ..core.pipeline import (ResidentChunk, build_entry_hits,
@@ -153,7 +154,7 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
                        chunk_meta: List[Tuple[int, str, int, int, int,
                                               int, int]],
                        pipeline_params: Dict[str, Any],
-                       packed: bool, plen: int,
+                       packed: bool, layout: SeedLayout,
                        task_queue, result_queue) -> None:
     """One shard's comparer loop: attach, serve tasks, exit on stop.
 
@@ -163,8 +164,9 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
     ``(global_index, chrom, start, scan_length, length, n_sites,
     offset)``; the worker decodes its 2-bit bases, candidate bitmask
     and flag pairs into private arrays once at attach time and repacks
-    the resident :class:`PackedSites` planes, so no shared view is held
-    on the hot path.
+    the resident :class:`PackedSites` planes and their seed tables
+    (``layout`` places the seed blocks), so no shared view is held on
+    the hot path.
 
     Each query task is answered with one ``("result", ..., payload,
     spans)`` message whose payload is ``[(global_chunk_index,
@@ -202,7 +204,7 @@ def _shard_worker_main(shard_id: int, genome_name: Optional[str],
             entries.append(ResidentChunk(
                 chrom=chrom, start=start, scan_length=scan_length,
                 data=data, loci=loci, flags=flags,
-                packed=pack_site_windows(data, loci, plen)))
+                packed=pack_site_windows(data, loci, flags, layout)))
         del seg
     else:
         genome_shm = _attach_shared(genome_name)
@@ -383,6 +385,7 @@ class ShardedSiteIndex:
             getattr(index, "packed_disabled_reason", None)
         self._queries_packed = 0
         self._queries_fallback = 0
+        self._queries_prefiltered = 0
         self._shards_skipped = 0
         self._batches_sharded = 0
         self._batches_direct = 0
@@ -491,6 +494,7 @@ class ShardedSiteIndex:
         with self._lock:
             queries_packed = self._queries_packed
             queries_fallback = self._queries_fallback
+            queries_prefiltered = self._queries_prefiltered
             shards_skipped = self._shards_skipped
             batches_sharded = self._batches_sharded
             batches_direct = self._batches_direct
@@ -501,6 +505,7 @@ class ShardedSiteIndex:
             "packed_disabled_reason": self.packed_disabled_reason,
             "queries_packed": queries_packed,
             "queries_fallback": queries_fallback,
+            "queries_prefiltered": queries_prefiltered,
             "degraded": self.degraded,
             "degrade_reason": self.degrade_reason,
             "shards_skipped": shards_skipped,
@@ -666,7 +671,7 @@ class ShardedSiteIndex:
                   self._genome_layout, worker.sites_name,
                   worker.site_count, worker.seg_bytes,
                   worker.chunk_meta, self._pipeline_params,
-                  self.packed, self.index.compiled_pattern.plen,
+                  self.packed, self.index.seed_layout,
                   worker.task_queue, self._results),
             name=f"shard-{worker.shard_id}", daemon=True)
         process.start()
@@ -772,15 +777,17 @@ class ShardedSiteIndex:
                 return {}
             token = uuid.uuid4().hex
             ok = {worker.shard_id: False for worker in self._workers}
+            with self._results_lock:
+                # Pongs from timed-out earlier pings are dead on
+                # arrival.  Cleared before this round's pings go out: a
+                # concurrent gather may stash a fast reply to them.
+                self._stash_pongs.clear()
             want = 0
             for worker in self._workers:
                 if worker.process is not None and \
                         worker.process.is_alive():
                     worker.task_queue.put(("ping", token))
                     want += 1
-        with self._results_lock:
-            # Pongs from timed-out earlier pings are dead on arrival.
-            self._stash_pongs.clear()
         got = 0
         deadline = time.monotonic() + timeout_s
         while got < want and time.monotonic() < deadline:
@@ -836,7 +843,7 @@ class ShardedSiteIndex:
             with self._lock:
                 if self._closed:
                     raise ShardWorkerError("sharded index is closed")
-                self._count_batch(compiled, direct=False)
+                self._count_batch(queries, direct=False)
                 batch_id = self._next_batch
                 self._next_batch += 1
                 trace = tracing.active() is not None
@@ -873,12 +880,12 @@ class ShardedSiteIndex:
         """
         if self._closed:
             raise ShardWorkerError("sharded index is closed")
-        compiled = [compile_pattern(q.sequence) for q in queries]
         with self._lock:
-            self._count_batch(compiled, direct=True)
+            self._count_batch(queries, direct=True)
         return self.index.query_batch(queries)
 
-    def _count_batch(self, compiled, direct: bool) -> None:
+    def _count_batch(self, queries: Sequence[Query],
+                     direct: bool) -> None:
         """Book one tier-level batch; the scattered and the direct
         path both pass here, so ``queries_packed + queries_fallback``
         covers every query of a packed tier.  Callers hold ``_lock``.
@@ -887,11 +894,14 @@ class ShardedSiteIndex:
             self._batches_direct += 1
         else:
             self._batches_sharded += 1
-        self._queries_total += len(compiled)
+        self._queries_total += len(queries)
         if self.packed:
-            packed_n = sum(1 for cq in compiled if window_packable(cq))
+            guides = guide_batch(batch_specs(queries),
+                                 self.index.seed_layout)
+            packed_n = int(guides.packable.sum())
             self._queries_packed += packed_n
-            self._queries_fallback += len(compiled) - packed_n
+            self._queries_fallback += len(queries) - packed_n
+            self._queries_prefiltered += int(guides.seeded.sum())
 
     def query_batch_with_extras(self, queries: Sequence[Query],
                                 extras: Sequence[Any]

@@ -44,7 +44,7 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Sequence,
 import numpy as np
 
 from ..core.bitparallel import (MAX_CHECKED_POSITIONS, acgtn_only,
-                                pack_site_windows)
+                                pack_site_windows, seed_layout)
 from ..core.config import Query
 from ..core.pipeline import ResidentChunk
 from ..core.records import OffTargetHit
@@ -262,6 +262,7 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
     assembly = index.assembly
     compiled = index.compiled_pattern
     plen = compiled.plen
+    layout = seed_layout(compiled)
     chunk_size = index.chunk_size
     overlap = plen - 1
     patches: List[_PatchChunk] = []
@@ -311,7 +312,7 @@ def _build_patches(index: Any, haplotypes: Sequence[Haplotype],
                     chunk, compiled)
                 packed = None
                 if plen <= MAX_CHECKED_POSITIONS and acgtn_only(data):
-                    packed = pack_site_windows(data, loci, plen)
+                    packed = pack_site_windows(data, loci, flags, layout)
                 patches.append(_PatchChunk(
                     hap_index=hap_index, chrom=chrom,
                     ref_bounds=(ref_lo, ref_hi),

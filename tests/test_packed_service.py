@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitparallel import seed_layout
 from repro.core.config import Query
+from repro.core.patterns import compile_pattern, reverse_complement
 from repro.genome.assembly import Assembly, Chromosome
 from repro.service import (BatchScheduler, GenomeSiteIndex,
                            ShardedSiteIndex, SiteIndexVersionError)
@@ -216,3 +218,280 @@ class TestDegrade:
             scheduler.close()
         assert stats["comparer"]["mode"] == "packed"
         assert stats["comparer"]["queries_packed"] >= len(QUERIES)
+        # One 4-nt block under NNNNNNRG: budgets 3 and 2 take the full
+        # scan, and the stats op says so.
+        assert stats["comparer"]["queries_prefiltered"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Pigeonhole seed prefilter
+# ---------------------------------------------------------------------------
+
+SPCAS9 = "N" * 21 + "RG"
+CAS12A = "TTTV" + "N" * 23
+#: A site both strands select (flag 0), per pattern: forward PAM and
+#: the reverse complement of one in the same window.
+_BOTH_STRANDS = {SPCAS9: ("CC", "GG"), CAS12A: ("TTTA", "TAAA")}
+#: Query positions outside the spacer, left as N in every guide.
+_PAM = {SPCAS9: slice(20, 23), CAS12A: slice(0, 4)}
+
+
+def _seeded_genome(seed: int, pattern: str, n: int) -> Assembly:
+    """Random ACGT with N runs and one planted flag-0 site."""
+    rng = np.random.default_rng(seed)
+    seq = rng.choice(_ACGT, n)
+    for _ in range(2):
+        lo = int(rng.integers(0, n - 40))
+        seq[lo:lo + int(rng.integers(1, 30))] = ord("N")
+    head, tail = _BOTH_STRANDS[pattern]
+    at = int(rng.integers(0, n - len(pattern)))
+    seq[at:at + len(head)] = np.frombuffer(head.encode(), np.uint8)
+    end = at + len(pattern)
+    seq[end - len(tail):end] = np.frombuffer(tail.encode(), np.uint8)
+    return Assembly(f"seeded-{seed}", [Chromosome("c", seq)])
+
+
+def _guide_from_site(index, pick: int, reverse: bool, edits: int,
+                     n_in_spacer: bool, seed: int) -> str:
+    """A guide aimed at one candidate site: the site in query
+    orientation with the PAM masked to N, then ``edits`` substitutions
+    and optionally one N inside the spacer."""
+    rng = np.random.default_rng(seed)
+    sites = [(e, i) for e in index.entries for i in range(e.loci.size)]
+    entry, i = sites[pick % len(sites)]
+    plen = index.compiled_pattern.plen
+    guide = entry.data[int(entry.loci[i]):int(entry.loci[i]) + plen]
+    flag = int(entry.flags[i])
+    if flag == 2 or (flag == 0 and reverse):
+        guide = reverse_complement(guide)
+    guide = guide.copy()
+    guide[_PAM[index.pattern]] = ord("N")
+    spacer = np.flatnonzero(guide != ord("N"))
+    for p in rng.choice(spacer, min(edits, spacer.size), replace=False):
+        guide[p] = rng.choice(_ACGT[_ACGT != guide[p]])
+    if n_in_spacer:
+        guide[rng.choice(spacer)] = ord("N")
+    return guide.tobytes().decode("ascii")
+
+
+def _triples(index, queries):
+    from repro.core.pipeline import ResidentChunk
+    compiled = [compile_pattern(q.sequence) for q in queries]
+    return [index.pipeline.compare_resident_triples(
+                ResidentChunk(chrom=e.chrom, start=e.start,
+                              scan_length=e.scan_length, data=e.data,
+                              loci=e.loci, flags=e.flags,
+                              packed=e.packed),
+                queries, compiled)
+            for e in index.entries]
+
+
+def _assert_triples_equal(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
+        for x, y in zip(a, b):
+            for u, v in zip(x, y):
+                assert u.dtype == v.dtype
+                np.testing.assert_array_equal(u, v)
+
+
+class TestSeedLayout:
+    @pytest.mark.parametrize("pattern,forward,reverse", [
+        (SPCAS9, (0, 4, 8, 12, 16), (19, 15, 11, 7, 3)),
+        (CAS12A, (4, 8, 12, 16, 20), (19, 15, 11, 7, 3)),
+        (PATTERN, (0,), (4,)),
+        ("NNNRG", (), ()),
+    ])
+    def test_blocks_cut_longest_n_run(self, pattern, forward, reverse):
+        layout = seed_layout(compile_pattern(pattern))
+        assert layout.forward == forward
+        assert layout.reverse == reverse
+
+    @pytest.mark.parametrize("pattern", [SPCAS9, CAS12A])
+    def test_buckets_match_per_site_codes(self, pattern):
+        """Every bucket lists, in ascending order, exactly the strand's
+        candidates whose block reads that code; a block holding a
+        genome N goes to the sentinel bucket 256."""
+        index = GenomeSiteIndex.build(_seeded_genome(3, pattern, 3000),
+                                      pattern, chunk_size=1000,
+                                      packed=True)
+        value = {ord(b): v for v, b in enumerate("ACGT")}
+        sentinel_seen = False
+        for entry in index.entries:
+            tables = entry.packed.seeds
+            for strand, (seeds, starts) in enumerate(zip(
+                    tables.strands, (tables.layout.forward,
+                                     tables.layout.reverse))):
+                assert seeds.index.dtype == np.uint16
+                wanted = (1, 2)[strand]
+                assert seeds.index.tolist() == [
+                    i for i, f in enumerate(entry.flags.tolist())
+                    if f in (0, wanted)]
+                for b, start in enumerate(starts):
+                    buckets = {}
+                    for i in seeds.index.tolist():
+                        lo = int(entry.loci[i]) + start
+                        block = entry.data[lo:lo + 4].tolist()
+                        code = (256 if any(x not in value for x in block)
+                                else sum(value[x] << 2 * j
+                                         for j, x in enumerate(block)))
+                        sentinel_seen |= code == 256
+                        buckets.setdefault(code, []).append(i)
+                    for code in range(257):
+                        k = 257 * b + code
+                        got = seeds.order.ravel()[
+                            seeds.offsets[k]:seeds.offsets[k + 1]]
+                        assert got.tolist() == buckets.get(code, [])
+        assert sentinel_seen
+
+
+class TestPrefilterEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           pattern=st.sampled_from([SPCAS9, CAS12A]),
+           guides=st.lists(st.tuples(
+               st.integers(0, 10 ** 6),    # which candidate site
+               st.booleans(),              # reverse orientation (flag 0)
+               st.integers(0, 3),          # substitutions
+               st.booleans(),              # an N inside the spacer
+               st.integers(0, 6)),         # mismatch budget
+               min_size=1, max_size=5),
+           chunk_size=st.sampled_from([500, 1200, 4000]))
+    def test_prefiltered_matches_byte_comparer(self, seed, pattern,
+                                               guides, chunk_size):
+        """Seeded packed index == byte comparer: hits and triples,
+        budgets 0-6 (5 and 6 take the full scan), N runs, N inside the
+        spacer (a dropped block), flag-0 sites and empty buckets."""
+        assembly = _seeded_genome(seed, pattern, 2500 + seed % 1500)
+        byte_idx, packed_idx = _pair(assembly, pattern=pattern,
+                                     chunk_size=chunk_size)
+        assert packed_idx.packed
+        if not packed_idx.site_count:
+            return
+        queries = [Query(_guide_from_site(packed_idx, pick, rev, edits,
+                                          n_in, seed + k), mm)
+                   for k, (pick, rev, edits, n_in, mm)
+                   in enumerate(guides)]
+        assert packed_idx.query_batch(queries) == \
+            byte_idx.query_batch(queries)
+        _assert_triples_equal(_triples(packed_idx, queries),
+                              _triples(byte_idx, queries))
+
+    def test_n_in_spacer_drops_a_block(self):
+        """An N inside the spacer leaves 4 usable blocks: budget 3 is
+        prefiltered, budget 4 takes the full scan and still finds a
+        site with one mismatch in each usable block."""
+        rng = np.random.default_rng(9)
+        seq = rng.choice(_ACGT, 3000)
+        guide = rng.choice(_ACGT, 20)
+        site = guide.copy()
+        site[1] = ord("C")  # under the guide's N: not a mismatch
+        for p in (5, 9, 13, 17):  # one mismatch per usable block
+            site[p] = rng.choice(_ACGT[_ACGT != site[p]])
+        seq[1000:1023] = np.concatenate(
+            [site, np.frombuffer(b"AGG", np.uint8)])
+        guide[1] = ord("N")
+        sequence = guide.tobytes().decode("ascii") + "NNN"
+        assembly = Assembly("n-spacer", [Chromosome("c", seq)])
+        byte_idx, packed_idx = _pair(assembly, pattern=SPCAS9)
+        queries = [Query(sequence, 4), Query(sequence, 3)]
+        hits = packed_idx.query_batch(queries)
+        assert hits == byte_idx.query_batch(queries)
+        assert (1000, "+", 4) in [(h.position, h.strand, h.mismatches)
+                                  for h in hits[0]]
+        assert packed_idx.comparer_stats()["queries_prefiltered"] == 1
+
+    @pytest.mark.slow
+    def test_block_replay_over_a_million_candidates(self):
+        """One chunk with more than 1 << 20 candidates: bucket
+        survivors re-emit per work-item block, forward then reverse,
+        exactly as the kernel path does."""
+        rng = np.random.default_rng(5)
+        n = 1_250_000
+        seq = np.full(n, ord("G"), np.uint8)
+        other = rng.random(n) < 0.03
+        seq[other] = rng.choice(np.frombuffer(b"ACT", np.uint8),
+                                int(other.sum()))
+        guide = "ACGTTGCAACGTAGCTAGCA"
+        for pos, reverse, edits in ((1000, False, ()),
+                                    (5000, True, (3,)),
+                                    (1_180_000, True, ()),
+                                    (1_200_000, False, (1, 9)),
+                                    (1_230_000, True, (17,))):
+            site = np.frombuffer((guide + "AGG").encode(),
+                                 np.uint8).copy()
+            for p in edits:
+                site[p] = ord("T") if site[p] != ord("T") else ord("C")
+            if reverse:
+                site = reverse_complement(site)
+            seq[pos:pos + 23] = site
+        assembly = Assembly("g-rich", [Chromosome("c", seq)])
+        byte_idx, packed_idx = _pair(assembly, pattern=SPCAS9,
+                                     chunk_size=1 << 22)
+        (entry,) = packed_idx.entries
+        assert entry.loci.size > 1 << 20
+        assert entry.packed.seeds.strands[0].index.dtype == np.uint32
+        queries = [Query(guide + "NNN", mm) for mm in (0, 2, 4, 6)]
+        hits = packed_idx.query_batch(queries)
+        assert hits == byte_idx.query_batch(queries)
+        assert [(h.position, h.strand) for h in hits[2]] == [
+            (1000, "+"), (5000, "-"),  # block 0: forward, then reverse
+            (1_200_000, "+"), (1_180_000, "-"), (1_230_000, "-")]
+        _assert_triples_equal(_triples(packed_idx, queries[1:3]),
+                              _triples(byte_idx, queries[1:3]))
+        assert packed_idx.comparer_stats()["queries_prefiltered"] == 3
+
+
+class TestPrefilterCrossTier:
+    """23-nt pattern at 4 mismatches: every tier prefilters and equals
+    the in-process byte index."""
+
+    @pytest.fixture(scope="class")
+    def indexes(self, small_assembly):
+        return _pair(small_assembly, pattern=SPCAS9)
+
+    @pytest.fixture(scope="class")
+    def queries(self, indexes):
+        _, packed_idx = indexes
+        return [Query(_guide_from_site(packed_idx, pick, False, edits,
+                                       False, pick), 4)
+                for pick, edits in ((11, 0), (400, 2), (1500, 3),
+                                    (2200, 4))]
+
+    def test_sharded_prefilters(self, indexes, queries):
+        byte_idx, packed_idx = indexes
+        reference = byte_idx.query_batch(queries)
+        assert sum(map(len, reference)) >= len(queries)
+        with ShardedSiteIndex(packed_idx, shards=2) as sharded:
+            assert sharded.query_batch(queries) == reference
+            stats = sharded.comparer_stats()
+        assert stats["batches_sharded"] == 1
+        assert stats["queries_prefiltered"] == len(queries)
+
+    def test_loaded_index_prefilters(self, indexes, queries, tmp_path):
+        byte_idx, packed_idx = indexes
+        packed_idx.save(str(tmp_path))
+        loaded = GenomeSiteIndex.load(str(tmp_path), packed_idx.assembly)
+        for ours, theirs in zip(loaded.entries, packed_idx.entries):
+            for a, b in zip(ours.packed.seeds.strands,
+                            theirs.packed.seeds.strands):
+                for name in ("index", "order", "offsets"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype
+                    np.testing.assert_array_equal(x, y)
+        assert loaded.query_batch(queries) == \
+            byte_idx.query_batch(queries)
+        assert loaded.comparer_stats()["queries_prefiltered"] == \
+            len(queries)
+
+    def test_budget_past_blocks_takes_full_scan(self, indexes, queries):
+        byte_idx, _ = indexes
+        _, packed_idx = _pair(byte_idx.assembly, pattern=SPCAS9)
+        wide = [Query(q.sequence, 5) for q in queries]
+        assert packed_idx.query_batch(wide) == byte_idx.query_batch(wide)
+        stats = packed_idx.comparer_stats()
+        assert stats["queries_packed"] == len(wide)
+        assert stats["queries_prefiltered"] == 0

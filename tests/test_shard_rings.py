@@ -254,6 +254,9 @@ class TestGatherRegressions:
         probes answer while a batch is in flight."""
         expected = index.query_batch(QUERIES)
         with ShardedSiteIndex(index, shards=2) as tier:
+            # Workers attached first: the probes below must race a
+            # stalled batch, not worker start-up.
+            assert tier.ping(timeout_s=30.0) == {0: True, 1: True}
             tier.inject_worker_delay(0, 1.5)
             results = []
             thread = threading.Thread(
