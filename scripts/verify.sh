@@ -49,6 +49,11 @@ python3 perfbench/run.py --workload hits --seed 1 --seconds 4 --trace 0
 # Short seeded scan run: every sampled guide must hit and a served
 # subset must equal the in-process search, over the seed prefilter.
 python3 perfbench/run.py --workload scan --seed 1 --seconds 4 --trace 0
+# Short seeded routed-mix run: every kept routed response must equal,
+# byte for byte, what a single whole-genome server sends for the same
+# line, which pins the servers' column-native hit encoder against the
+# router's json.dumps re-encoding.
+python3 perfbench/run.py --workload routed-mix --seed 1 --seconds 4 --trace 0
 # Every smoke and test above closed its tier; any surviving segment
 # is a leak and fails verification before the trap's cleanup can mask
 # it.

@@ -14,8 +14,8 @@ from .patterns import (COMPLEMENT_TABLE, CompiledPattern, IUPAC_COMPLEMENT,
 from .pipeline import (DEFAULT_CHUNK_SIZE, OpenCLCasOffinder,
                        PipelineResult, SyclCasOffinder,
                        SyclUsmCasOffinder, search)
-from .records import (HEADER, OffTargetHit, read_hits, sort_hits,
-                      write_hits)
+from .records import (HEADER, HitColumns, OffTargetHit, read_hits,
+                      sort_hits, write_hits)
 from .reference import reference_search
 from .scoring import (GuideReport, MIT_WEIGHTS, aggregate_specificity,
                       mit_site_score, rank_guides, score_hit)
@@ -24,7 +24,8 @@ from .workload import QueryWorkload, WorkloadProfile
 __all__ = [
     "BitParallelCasOffinder", "BitParallelComparer", "BulgeHit",
     "MultiDeviceCasOffinder", "MultiDeviceResult", "COMPLEMENT_TABLE", "CompiledPattern",
-    "DEFAULT_CHUNK_SIZE", "EXAMPLE_INPUT", "HEADER", "IUPAC_COMPLEMENT",
+    "DEFAULT_CHUNK_SIZE", "EXAMPLE_INPUT", "HEADER", "HitColumns",
+    "IUPAC_COMPLEMENT",
     "IUPAC_MASKS", "MASK_TABLE", "MISMATCH_LUT", "OffTargetHit",
     "OpenCLCasOffinder", "PatternError", "PipelineResult", "Query",
     "QueryWorkload", "SearchRequest", "SyclCasOffinder",

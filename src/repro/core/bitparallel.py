@@ -365,9 +365,10 @@ def build_seed_tables(words: np.ndarray, invalid: np.ndarray,
     """Bucket one chunk's packed windows by every seed block's code.
 
     Index arrays are ``uint16`` when the chunk has at most 65,536
-    candidates and ``uint32`` otherwise.  All blocks of a strand are
-    sorted in one stable (radix) argsort, so the tables cost one
-    vectorized pass over the resident planes.
+    candidates and ``uint32`` otherwise.  Each block's 8-bit codes are
+    sorted with one stable (radix) argsort over the strand's sites,
+    block by block, so the build's temporaries stay a few arrays of
+    the strand's size rather than ``blocks`` of them.
     """
     dtype = np.uint16 if words.size <= 1 << 16 else np.uint32
     strands = []
@@ -375,22 +376,27 @@ def build_seed_tables(words: np.ndarray, invalid: np.ndarray,
         # Flag 0 sites are on both strands, 1 forward only, 2 reverse.
         index = np.flatnonzero((flags == 0) | (flags == strand + 1)
                                ).astype(dtype)
-        shifts = _block_shifts(layout, strand)[:, None]
-        keys = ((words[index][None, :] >> shifts)
-                & np.uint64(0xFF)).astype(np.uint16)
-        keys[((invalid[index][None, :] >> shifts)
-              & np.uint64(0x55)) != 0] = _SENTINEL_BUCKET
-        # Row b's keys lie in [257 b, 257 b + 256], so one cumulative
-        # count over all rows gives positions in the flattened order.
-        keys += (_BUCKETS * np.arange(shifts.size, dtype=np.uint16)
-                 )[:, None]
-        offsets = np.zeros(_BUCKETS * shifts.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys.ravel(), minlength=offsets.size - 1),
-                  out=offsets[1:])
-        strands.append(StrandSeeds(
-            index=index,
-            order=index[np.argsort(keys, axis=1, kind="stable")],
-            offsets=offsets))
+        strand_words = words[index]
+        # Sites with a non-ACGT base are few: keep only theirs.
+        bad = np.flatnonzero(invalid[index])
+        bad_bits = invalid[index[bad]]
+        shifts = _block_shifts(layout, strand)
+        order = np.empty((shifts.size, index.size), dtype=dtype)
+        counts = np.empty((shifts.size, _BUCKETS), dtype=np.int64)
+        # One block at a time, so the temporaries stay O(sites).
+        for b, shift in enumerate(shifts):
+            keys = ((strand_words >> shift) & np.uint64(0xFF)
+                    ).astype(np.uint16)
+            keys[bad[((bad_bits >> shift) & np.uint64(0x55)) != 0]] = \
+                _SENTINEL_BUCKET
+            order[b] = index[np.argsort(keys, kind="stable")]
+            counts[b] = np.bincount(keys, minlength=_BUCKETS)
+        # Bucket k = 257 b + c of the flattened order starts after
+        # every bucket before it, across blocks.
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts.ravel(), out=offsets[1:])
+        strands.append(StrandSeeds(index=index, order=order,
+                                   offsets=offsets))
     return SeedTables(layout=layout, strands=tuple(strands))
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ..runtime.sycl import (Buffer, LocalAccessor, NdRange, Queue, Range,
 from .config import ExecutionPolicy, Query, SearchRequest
 from .patterns import (COMPLEMENT_TABLE, MISMATCH_LUT, CompiledPattern,
                        PatternError, compile_pattern)
-from .records import OffTargetHit, sort_hits
+from .records import HitColumns, OffTargetHit, sort_hits
 from .workload import QueryWorkload, StageTimings, WorkloadProfile
 
 if TYPE_CHECKING:  # bitparallel imports this module at its top level
@@ -295,57 +294,66 @@ class ResidentChunk:
     packed: Optional[PackedSites] = None
 
 
+#: ``_SHOWN[s, c, b]``: genome byte ``b`` as a ``+`` (``s = 0``) or
+#: ``-`` (``s = 1``) site shows it where the compared query code is
+#: ``c``: ``+`` bytes as they are, ``-`` bytes complemented (0 without
+#: an IUPAC complement), letters that mismatch ``c`` lowercased — the
+#: rendering of :meth:`OffTargetHit.from_site`.
+_SHOWN = np.stack([np.arange(256, dtype=np.uint8),
+                   COMPLEMENT_TABLE])[:, None, :].repeat(256, axis=1)
+_SHOWN[MISMATCH_LUT.astype(bool)[None]
+       & (_SHOWN >= ord("A")) & (_SHOWN <= ord("Z"))] += 32
+
+
 def render_hits(data: np.ndarray, chrom: str, start: int, query: Query,
                 cq: CompiledPattern, mm_loci: np.ndarray,
                 mm_count: np.ndarray, direction: np.ndarray
-                ) -> List[OffTargetHit]:
+                ) -> HitColumns:
     """Render one query's hits in one chunk from its comparer triple.
 
     ``mm_loci``/``mm_count``/``direction`` are the comparer outputs for
     ``query`` over the chunk whose bases are ``data`` and whose first
     base sits at ``start`` on ``chrom``.  All rows are rendered in one
-    numpy pass: gather every window (``-`` rows reversed), mark
-    mismatches against the query codes in the same orientation,
-    complement the ``-`` rows, lowercase the mismatched letters, then
-    decode the whole block once and slice one ``site`` per hit.
-    The result equals :meth:`OffTargetHit.from_site` applied row by row,
-    errors included: a non-IUPAC byte on a ``-`` row raises
-    :class:`~repro.core.patterns.PatternError`, and a window running
-    past the end of ``data`` raises ``IndexError``.
+    numpy pass: gather every window (``-`` rows reversed) and look
+    each byte up in :data:`_SHOWN` under its strand and the query code
+    it was compared with, which complements ``-`` rows and lowercases
+    mismatched letters, giving the :class:`HitColumns` site block.
+    Its records equal :meth:`OffTargetHit.from_site` applied row by
+    row, errors included: a non-IUPAC byte on a ``-`` row raises
+    :class:`~repro.core.patterns.PatternError`, a non-ASCII site byte
+    raises ``UnicodeDecodeError`` and a window running past the end of
+    ``data`` raises ``IndexError``.
     """
     count = mm_loci.size
     if count == 0:
-        return []
+        return HitColumns.empty(query.sequence)
     plen = cq.plen
     loci = mm_loci.astype(np.intp)
-    forward = (direction == ord("+"))[:, None]
-    # Gather ``-`` rows reversed and compare them against the reversed
-    # reverse-complement query: the mismatch mask then comes out
-    # reversed with the window, already in display order.
+    forward = direction == ord("+")
+    # Gather ``-`` rows reversed: every row then reads in display order.
     offsets = np.arange(plen)
-    windows = data[loci[:, None] + np.where(forward, offsets,
+    windows = data[loci[:, None] + np.where(forward[:, None], offsets,
                                             offsets[::-1])]
-    codes = np.where(forward, cq.sequence, cq.rc_sequence[::-1])
-    mism = MISMATCH_LUT[codes, windows].astype(bool)
-    comp = COMPLEMENT_TABLE[windows]
-    if not (forward | comp).all():
+    # Row ``s`` of ``keys`` holds, per display column, the flat offset
+    # of _SHOWN[s, query code compared there]; the byte adds the rest.
+    keys = 256 * np.stack([cq.sequence, cq.rc_sequence[::-1]]
+                          ).astype(np.intp)
+    keys[1] += 256 * 256
+    sites = _SHOWN.ravel()[keys[(~forward).astype(np.intp)] + windows]
+    # Only a ``-`` byte without a complement renders as 0.
+    if not sites.all() and not sites[~forward].all():
         raise PatternError("cannot complement non-IUPAC characters")
-    windows = np.where(forward, windows, comp)
-    windows[mism & (windows >= ord("A")) & (windows <= ord("Z"))] += 32
-    text = windows.tobytes().decode("ascii")
-    sites = [text[i:i + plen] for i in range(0, count * plen, plen)]
-    strands = ["+" if f else "-" for f in forward[:, 0].tolist()]
-    positions = (loci + start).tolist()
-    return list(map(OffTargetHit, repeat(query.sequence, count),
-                    repeat(chrom, count), positions, strands,
-                    mm_count.tolist(), sites))
+    if sites.max() > 0x7F:
+        sites.tobytes().decode("ascii")  # raises, naming the byte
+    return HitColumns(query.sequence, ((chrom, count),), loci + start,
+                      direction, mm_count, sites)
 
 
 def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
                      compiled_queries: Sequence[CompiledPattern],
                      per_query: Sequence[Tuple[np.ndarray, np.ndarray,
                                                np.ndarray]]
-                     ) -> List[List[OffTargetHit]]:
+                     ) -> List[HitColumns]:
     """Render final hits for one resident chunk from comparer triples.
 
     This is the single hit-construction path for resident serving:
@@ -359,6 +367,19 @@ def build_entry_hits(entry: ResidentChunk, queries: Sequence[Query],
     return [render_hits(entry.data, entry.chrom, entry.start, query, cq,
                         *per_query[qi])
             for qi, (query, cq) in enumerate(zip(queries, compiled_queries))]
+
+
+def merge_entry_hits(queries: Sequence[Query],
+                     per_entry: Iterable[Sequence[HitColumns]]
+                     ) -> List[HitColumns]:
+    """One :class:`HitColumns` per query from per-entry hit groups,
+    joined in entry (chunk) order."""
+    parts: List[List[HitColumns]] = [[] for _ in queries]
+    for entry_hits in per_entry:
+        for part, columns in zip(parts, entry_hits):
+            part.append(columns)
+    return [HitColumns.concat(query.sequence, part)
+            for query, part in zip(queries, parts)]
 
 
 class _BasePipeline:
@@ -414,16 +435,17 @@ class _BasePipeline:
     def compare_resident(self, entries, queries: Sequence[Query],
                          compiled_queries: Sequence[CompiledPattern],
                          batched: bool = True
-                         ) -> List[List[List[OffTargetHit]]]:
+                         ) -> List[List[HitColumns]]:
         """Run the comparer over resident chunks, building final hits.
 
         ``entries`` is an iterable of :class:`ResidentChunk` (consumed
         lazily, so callers can stream chunk data in one at a time).
-        Returns one ``[per-query hit list]`` per entry, in iteration
-        order; hits are built by :func:`build_entry_hits`, on the same
-        :func:`render_hits` the chunk loop uses, so
-        concatenating the per-entry lists in chunk order reproduces a
-        full search byte-for-byte.
+        Returns one ``[per-query HitColumns]`` group per entry, in
+        iteration order; hits are built by :func:`build_entry_hits`,
+        on the same :func:`render_hits` the chunk loop uses, so
+        joining the per-entry groups in chunk order
+        (:func:`merge_entry_hits`) reproduces a full search
+        byte-for-byte.
 
         Entries carrying :class:`PackedSites` planes run the
         bit-parallel comparer over the resident 2-bit words instead of
@@ -433,14 +455,15 @@ class _BasePipeline:
         merged back in input order — both paths emit element-identical
         results, so the split is invisible on the wire.
         """
-        results: List[List[List[OffTargetHit]]] = []
+        results: List[List[HitColumns]] = []
         queries = list(queries)
         compiled_queries = list(compiled_queries)
         for entry in entries:
             per_query = self.compare_resident_triples(
                 entry, queries, compiled_queries, batched)
             if per_query is None:
-                results.append([[] for _ in queries])
+                results.append([HitColumns.empty(q.sequence)
+                                for q in queries])
                 continue
             results.append(build_entry_hits(
                 entry, queries, compiled_queries, per_query))
@@ -486,8 +509,8 @@ class _BasePipeline:
         construction: returns ``None`` for an entry with no candidate
         sites, else one ``(mm_loci, mm_count, direction)`` triple per
         query.  Sharded-tier workers ship these arrays across the
-        process boundary; the parent renders :class:`OffTargetHit`
-        objects from the same triples with :func:`build_entry_hits`,
+        process boundary; the parent renders :class:`HitColumns`
+        from the same triples with :func:`build_entry_hits`,
         so both tiers stay element-identical.
         """
         if entry.loci.size == 0:

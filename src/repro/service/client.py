@@ -68,9 +68,11 @@ _ERROR_TYPES = {
 
 def _decode_hits(raw: List[List[Any]]) -> List[OffTargetHit]:
     # Wire rows are [query, chrom, position, site, strand, mismatches];
-    # the record's field order puts site last.
-    return [OffTargetHit(query, chrom, int(position), strand,
-                         int(mismatches), site)
+    # the record's field order puts site last.  tuple.__new__ skips
+    # the NamedTuple's Python-level __new__.
+    new = tuple.__new__
+    return [new(OffTargetHit, (query, chrom, int(position), strand,
+                               int(mismatches), site))
             for query, chrom, position, site, strand, mismatches in raw]
 
 

@@ -15,7 +15,10 @@ answering ops:
   handler method) and one :meth:`_handle_request` routes every request
   through it;
 * errors — handlers raise, and :func:`error_response` maps the
-  exception to the wire code, so every op fails the same way.
+  exception to the wire code, so every op fails the same way;
+* encoding — :func:`encode_response` writes every response line,
+  splicing a ``query`` response's :class:`~repro.core.records.HitColumns`
+  in as their own JSON rows.
 
 A subclass may override :meth:`_starting` (before the listener opens)
 and :meth:`_stopping` (after the drain) — the router uses them to
@@ -34,6 +37,7 @@ from typing import (Any, Awaitable, Callable, Dict, FrozenSet, List,
                     Mapping, Optional)
 
 from ..core.config import Query
+from ..core.records import HitColumns
 from ..observability import tracing
 from .scheduler import DeadlineExceeded, SchedulerClosed, ServiceOverloaded
 
@@ -78,6 +82,32 @@ def error_response(exc: Exception) -> Dict[str, Any]:
             return {"ok": False, "error": code, "message": str(exc)}
     return {"ok": False, "error": "internal",
             "message": f"{type(exc).__name__}: {exc}"}
+
+
+def encode_response(response: Dict[str, Any]) -> bytes:
+    """The wire bytes of ``response``, without the newline.
+
+    Equal to ``json.dumps(response)`` with every
+    :class:`~repro.core.records.HitColumns` under ``"hits"`` taken as
+    its list of wire rows: each one's :meth:`~repro.core.records.
+    HitColumns.json_rows` fragment is spliced into an envelope written
+    the way ``json.dumps`` writes a dict (``{"key": value, ...}``).
+    """
+    hits = response.get("hits")
+    if not isinstance(hits, list) or \
+            not any(isinstance(per, HitColumns) for per in hits):
+        return json.dumps(response).encode("ascii", "replace")
+    items = []
+    for key, value in response.items():
+        if key == "hits":
+            fragment = b"[" + b", ".join(
+                per.json_rows() if isinstance(per, HitColumns)
+                else json.dumps(per).encode("ascii") for per in value
+            ) + b"]"
+        else:
+            fragment = json.dumps(value).encode("ascii", "replace")
+        items.append(json.dumps(key).encode("ascii") + b": " + fragment)
+    return b"{" + b", ".join(items) + b"}"
 
 
 def decode_queries(raw: Any) -> List[Query]:
@@ -244,9 +274,7 @@ class JsonLinesFrontEnd:
                     response = await self._respond(line)
                     if response is None:
                         break  # injected disconnect: no response
-                    writer.write(json.dumps(response).encode("ascii",
-                                                             "replace")
-                                 + b"\n")
+                    writer.write(encode_response(response) + b"\n")
                     try:
                         await writer.drain()
                     except ConnectionError:

@@ -76,8 +76,9 @@ from ..core.bitparallel import (acgtn_only, batch_specs,
 from ..core.config import Query
 from ..core.patterns import MISMATCH_LUT, compile_pattern
 from ..core.pipeline import (DEFAULT_CHUNK_SIZE, PackedSites,
-                             ResidentChunk, make_pipeline)
-from ..core.records import OffTargetHit
+                             ResidentChunk, make_pipeline,
+                             merge_entry_hits)
+from ..core.records import HitColumns
 from ..genome.assembly import Assembly
 from ..observability import faults, tracing
 from ..resilience.checkpoint import RunManifest, _atomic_write_json
@@ -421,10 +422,11 @@ class GenomeSiteIndex:
     # -- queries --------------------------------------------------------
 
     def query_batch(self, queries: Sequence[Query]
-                    ) -> List[List[OffTargetHit]]:
+                    ) -> List[HitColumns]:
         """Run one batched comparer pass for every query at once.
 
-        Returns one hit list per query, in input order.  All queries of
+        Returns one :class:`~repro.core.records.HitColumns` (a hit
+        sequence) per query, in input order.  All queries of
         a micro-batch — potentially from many concurrent requests —
         ride in a single comparer launch per chunk, which is the
         continuous-batching payoff: launch count stays ``chunks``, not
@@ -433,19 +435,13 @@ class GenomeSiteIndex:
         if not queries:
             return []
         queries, compiled, _ = self._begin_batch(queries, extras=0)
-        hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        for entry_hits in self.pipeline.compare_resident(
-                self._resident_entries(), queries, compiled,
-                batched=True):
-            for qi, query_hits in enumerate(entry_hits):
-                hits[qi].extend(query_hits)
-        return hits
+        return merge_entry_hits(queries, self.pipeline.compare_resident(
+            self._resident_entries(), queries, compiled, batched=True))
 
     def query_batch_with_extras(
             self, queries: Sequence[Query],
             extras: Sequence[ResidentChunk],
-    ) -> Tuple[List[List[OffTargetHit]],
-               List[List[List[OffTargetHit]]], int]:
+    ) -> Tuple[List[HitColumns], List[List[HitColumns]], int]:
         """One comparer batch over resident chunks *plus* extras.
 
         ``extras`` are ephemeral, request-scoped resident entries —
@@ -472,16 +468,10 @@ class GenomeSiteIndex:
             yield from self._resident_entries()
             yield from extras
 
-        hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        extra_hits: List[List[List[OffTargetHit]]] = []
-        for ei, entry_hits in enumerate(self.pipeline.compare_resident(
-                entry_stream(), queries, compiled, batched=True)):
-            if ei < n_ref:
-                for qi, query_hits in enumerate(entry_hits):
-                    hits[qi].extend(query_hits)
-            else:
-                extra_hits.append(entry_hits)
-        return hits, extra_hits, n_ref
+        per_entry = self.pipeline.compare_resident(
+            entry_stream(), queries, compiled, batched=True)
+        return (merge_entry_hits(queries, per_entry[:n_ref]),
+                per_entry[n_ref:], n_ref)
 
     def _begin_batch(self, queries: Sequence[Query], extras: int
                      ) -> Tuple[List[Query], list, int]:

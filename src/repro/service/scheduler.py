@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import Query
-from ..core.records import OffTargetHit
+from ..core.records import HitColumns
 from ..observability import tracing
 from .index import GenomeSiteIndex
 
@@ -68,7 +68,7 @@ class _PendingRequest:
     """One admitted request waiting for (or riding in) a batch."""
 
     queries: List[Query]
-    future: "Future[List[List[OffTargetHit]]]"
+    future: "Future[List[HitColumns]]"
     enqueued_perf: float
     enqueued_wall: float
     #: Absolute ``perf_counter`` expiry, or None for no deadline.
@@ -216,8 +216,8 @@ class BatchScheduler:
     def submit(self, queries: Sequence[Query],
                deadline_s: Optional[float] = None,
                kind: str = "query",
-               ) -> "Future[List[List[OffTargetHit]]]":
-        """Admit one request; returns a future of per-query hit lists.
+               ) -> "Future[List[HitColumns]]":
+        """Admit one request; returns a future of per-query hits.
 
         ``kind`` labels the workload ("query" for guide lookups,
         "design" for a guide-design candidate sweep riding the same

@@ -73,7 +73,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
 from ..core.config import Query
-from ..core.records import OffTargetHit
+from ..core.records import HitColumns
 from ..design.ranking import (decode_design_spec, design_payload,
                               enumerate_for_design, enumerate_payload,
                               rank_candidates, scoring_guide_length)
@@ -86,11 +86,6 @@ from .frontend import (JsonLinesFrontEnd, WireError, decode_chromosomes,
                        decode_deadline, decode_queries)
 from .index import GenomeSiteIndex
 from .scheduler import BatchScheduler, DeadlineExceeded, SchedulerClosed
-
-
-def _encode_hits(hits: List[OffTargetHit]) -> List[List[Any]]:
-    return [[h.query, h.chrom, int(h.position), h.site, h.strand,
-             int(h.mismatches)] for h in hits]
 
 
 class OffTargetServer(JsonLinesFrontEnd):
@@ -198,16 +193,15 @@ class OffTargetServer(JsonLinesFrontEnd):
             # chromosomes keep their single-server relative order,
             # which is what lets a router reassemble partitions
             # byte-identically.
-            results = [[hit for hit in per if hit.chrom in allowed]
-                       for per in results]
-        return {"ok": True,
-                "hits": [_encode_hits(per) for per in results]}
+            results = [per.select(allowed) for per in results]
+        # The front end writes each HitColumns as its JSON rows.
+        return {"ok": True, "hits": results}
 
     @staticmethod
     async def _run_batch(scheduler: BatchScheduler,
                          queries: List[Query], deadline: Optional[float],
                          kind: str = "query"
-                         ) -> List[List[OffTargetHit]]:
+                         ) -> List[HitColumns]:
         """Submit one request to ``scheduler`` and await its hits.
 
         Submit-time failures keep their own type (bad request,
@@ -333,7 +327,7 @@ class OffTargetServer(JsonLinesFrontEnd):
             self._enumerate(request)
         estimator = get_estimator(spec.estimator,
                                   scoring_guide_length(anatomy))
-        hits_by_query: Dict[str, List[OffTargetHit]] = {}
+        hits_by_query: Dict[str, HitColumns] = {}
         if queries:
             results = await self._run_batch(
                 scheduler,

@@ -97,8 +97,8 @@ from ..core.bitparallel import (SeedLayout, batch_specs, guide_batch,
 from ..core.config import Query
 from ..core.patterns import compile_pattern
 from ..core.pipeline import (ResidentChunk, build_entry_hits,
-                             make_pipeline)
-from ..core.records import OffTargetHit
+                             make_pipeline, merge_entry_hits)
+from ..core.records import HitColumns
 from ..genome import twobit
 from ..observability import tracing
 from .index import (GenomeSiteIndex, check_query_lengths,
@@ -823,7 +823,7 @@ class ShardedSiteIndex:
     # -- queries ---------------------------------------------------------
 
     def query_batch(self, queries: Sequence[Query]
-                    ) -> List[List[OffTargetHit]]:
+                    ) -> List[HitColumns]:
         """Scatter one batch to the feasible shards, gather, merge.
 
         The state lock is held only for the scatter and epoch
@@ -864,15 +864,13 @@ class ShardedSiteIndex:
             collected = self._gather(batch_id, specs, trace, targets)
         merged = sorted((item for payload in collected.values()
                          for item in payload), key=lambda item: item[0])
-        hits: List[List[OffTargetHit]] = [[] for _ in queries]
-        for gi, per_query in merged:
-            for qi, query_hits in enumerate(build_entry_hits(
-                    self._entries[gi], queries, compiled, per_query)):
-                hits[qi].extend(query_hits)
-        return hits
+        return merge_entry_hits(queries, (
+            build_entry_hits(self._entries[gi], queries, compiled,
+                             per_query)
+            for gi, per_query in merged))
 
     def query_batch_direct(self, queries: Sequence[Query]
-                           ) -> List[List[OffTargetHit]]:
+                           ) -> List[HitColumns]:
         """Serve one batch on the inner index, bypassing the hop.
 
         Used when the tier is degraded, and by the adaptive scheduler
@@ -905,9 +903,8 @@ class ShardedSiteIndex:
 
     def query_batch_with_extras(self, queries: Sequence[Query],
                                 extras: Sequence[Any]
-                                ) -> Tuple[List[List[OffTargetHit]],
-                                           List[List[List[
-                                               OffTargetHit]]], int]:
+                                ) -> Tuple[List[HitColumns],
+                                           List[List[HitColumns]], int]:
         """Reference via the sharded scatter, extras in-parent.
 
         The resident reference chunks ride one normal sharded batch

@@ -485,8 +485,7 @@ def search_variants(index: Any, queries: Sequence[Query],
     ref_hits, extra_hits, reference_chunks = \
         index.query_batch_with_extras(queries, extras)
     if chromosomes is not None:
-        ref_hits = [[hit for hit in per_query
-                     if hit.chrom in chromosomes]
+        ref_hits = [per_query.select(chromosomes)
                     for per_query in ref_hits]
         # Scope the chunk count to the filter too: a routed partition
         # reports only its own chromosomes' chunks, so the router's

@@ -20,12 +20,13 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.records import HitColumns
 from repro.enzymes import enzyme_from_mapping
 from repro.genome.assembly import Assembly, Chromosome
 from repro.service import (GenomeSiteIndex, OffTargetRouter,
                            OffTargetServer, ServiceClient, ServiceError,
                            partition_chromosomes)
-from repro.service.frontend import MAX_LINE_BYTES
+from repro.service.frontend import MAX_LINE_BYTES, encode_response
 
 PATTERN = "NNNNNNRG"
 CHUNK = 1 << 12
@@ -189,3 +190,47 @@ class TestRoutedEnzyme:
                               "enzyme": "MiniCas12"})
         assert info.value.code == "bad-request"
         assert "5prime" in str(info.value)
+
+
+def _columns(query, chrom, positions):
+    n = len(positions)
+    return HitColumns(
+        query, ((chrom, n),) if n else (),
+        np.array(positions, dtype=np.int64),
+        np.full(n, ord("-"), dtype=np.uint8), np.arange(n) % 4,
+        np.full((n, len(query)), ord("a"), dtype=np.uint8))
+
+
+def _plain(response):
+    """The response with every HitColumns as its list of wire rows."""
+    def rows(per):
+        if not isinstance(per, HitColumns):
+            return per
+        return [[h.query, h.chrom, h.position, h.site, h.strand,
+                 h.mismatches] for h in per]
+    return {key: [rows(per) for per in value] if key == "hits" else value
+            for key, value in response.items()}
+
+
+def test_encode_response_equals_json_dumps():
+    with_fragments = [
+        {"ok": True, "hits": [_columns("ACGTN", "chr1", [9, 10, 123]),
+                              _columns("ACGTN", "chr2", []),
+                              _columns("TTTTN", 'x"\u00e9', [0])],
+         "id": "r-1"},
+        {"ok": True, "hits": [_columns("ACGTN", "chr1", [5])], "id": 7},
+        {"ok": True, "hits": [[["ACGTN", "c", 1, "ACGTA", "+", 0]],
+                              _columns("ACGTN", "chr1", [42])]},
+    ]
+    without = [
+        {"ok": True, "hits": [[["ACGTN", "c", 1, "ACGTA", "+", 0]], []],
+         "id": {"nested": ["\u00e9", 1.5, None]}},
+        {"ok": True, "hits": []},
+        {"ok": False, "error": "bad-request", "message": "caf\u00e9"},
+        {"ok": True, "stats": {"hits": [1, 2]}},
+    ]
+    for response in with_fragments:
+        assert encode_response(response) == \
+            json.dumps(_plain(response)).encode()
+    for response in without:
+        assert encode_response(response) == json.dumps(response).encode()

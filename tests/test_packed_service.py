@@ -348,6 +348,62 @@ class TestSeedLayout:
         assert sentinel_seen
 
 
+def _seed_tables_all_blocks(words, invalid, flags, layout):
+    """The one-pass construction the block-by-block build replaced:
+    every block's keys in one ``(blocks, n)`` array, one argsort."""
+    from repro.core.bitparallel import _block_shifts
+
+    dtype = np.uint16 if words.size <= 1 << 16 else np.uint32
+    strands = []
+    for strand in (0, 1):
+        index = np.flatnonzero((flags == 0) | (flags == strand + 1)
+                               ).astype(dtype)
+        shifts = _block_shifts(layout, strand)[:, None]
+        keys = ((words[index][None, :] >> shifts)
+                & np.uint64(0xFF)).astype(np.uint16)
+        keys[((invalid[index][None, :] >> shifts)
+              & np.uint64(0x55)) != 0] = 256
+        keys += (257 * np.arange(shifts.size, dtype=np.uint16))[:, None]
+        offsets = np.zeros(257 * shifts.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys.ravel(), minlength=offsets.size - 1),
+                  out=offsets[1:])
+        strands.append((index, index[np.argsort(keys, axis=1,
+                                                kind="stable")],
+                        offsets))
+    return strands
+
+
+class TestSeedTableBuild:
+    @pytest.mark.parametrize("n", [5000, (1 << 16) + 1, 150_000])
+    @pytest.mark.parametrize("pattern", [SPCAS9, CAS12A])
+    def test_matches_all_blocks_construction(self, n, pattern):
+        """Block-by-block tables equal the one-pass construction
+        element for element, under both index dtypes, with genome-N
+        blocks in the sentinel bucket."""
+        from repro.core.bitparallel import build_seed_tables
+
+        rng = np.random.default_rng(n)
+        words = rng.integers(0, 1 << 63, n, dtype=np.uint64) \
+            | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        invalid = np.zeros(n, dtype=np.uint64)
+        bad = rng.integers(0, n, n // 50)
+        invalid[bad] = np.uint64(1) << (
+            2 * rng.integers(0, 23, bad.size)).astype(np.uint64)
+        flags = rng.integers(0, 3, n).astype(np.uint8)
+        layout = seed_layout(compile_pattern(pattern))
+        got = build_seed_tables(words, invalid, flags, layout)
+        want = _seed_tables_all_blocks(words, invalid, flags, layout)
+        dtype = np.uint16 if n <= 1 << 16 else np.uint32
+        for seeds, (index, order, offsets) in zip(got.strands, want):
+            assert seeds.index.dtype == seeds.order.dtype == dtype
+            for u, v in ((seeds.index, index), (seeds.order, order),
+                         (seeds.offsets, offsets)):
+                assert u.dtype == v.dtype and u.shape == v.shape
+                np.testing.assert_array_equal(u, v)
+            sentinel = 257 * np.arange(len(layout.forward)) + 256
+            assert (offsets[sentinel + 1] > offsets[sentinel]).all()
+
+
 class TestPrefilterEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),

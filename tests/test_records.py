@@ -1,7 +1,9 @@
 """Unit tests for off-target hit records and the output format."""
 
 import io
+import json
 import pickle
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from repro.core.config import Query
 from repro.core.patterns import (PatternError, compile_pattern,
                                  reverse_complement)
 from repro.core.pipeline import render_hits
-from repro.core.records import (HEADER, OffTargetHit, read_hits,
-                                sort_hits, write_hits)
+from repro.core.records import (HEADER, HitColumns, OffTargetHit,
+                                read_hits, sort_hits, write_hits)
 from repro.genome.fasta import sequence_to_array
 
 
@@ -281,3 +283,187 @@ class TestRenderHits:
         with pytest.raises(IndexError):
             render_hits(seq("ACGTACG"), "c", 0, Query("ACGT", 1), cq,
                         *triple([4], [0], ["+"]))
+
+
+def wire_rows(hits):
+    return [[h.query, h.chrom, h.position, h.site, h.strand, h.mismatches]
+            for h in hits]
+
+
+def make_columns(query, runs, rows):
+    """HitColumns from ``(position, strand, mismatches, site)`` rows."""
+    plen = len(rows[0][3]) if rows else 0
+    return HitColumns(
+        query, runs,
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.frombuffer("".join(r[1] for r in rows).encode(), np.uint8),
+        np.array([r[2] for r in rows], dtype=np.int64),
+        np.frombuffer(b"".join(r[3] for r in rows),
+                      np.uint8).reshape(len(rows), plen))
+
+
+SITE_BYTES = b"ACGTNan"
+#: Bytes json.dumps escapes (a "+" row shows genome bytes as they are),
+#: alone and together, in half of the cases.
+ESCAPED_BYTES = st.one_of(st.just(b""), st.sampled_from(
+    [b'"', b"\\", b"\x01", b'"\\\x01']))
+
+
+@st.composite
+def column_cases(draw):
+    """Runs, row counts and value ranges from hypothesis; the bulk
+    arrays from a numpy generator it seeds, so cases reach the row
+    counts that take the byte-matrix writer."""
+    plen = draw(st.integers(1, 40))
+    query = draw(st.text(alphabet="ACGTN", min_size=plen, max_size=plen))
+    runs = []
+    for chrom in draw(st.lists(st.text(max_size=6), max_size=4)):
+        if not runs or runs[-1][0] != chrom:
+            runs.append((chrom, draw(st.integers(1, 80))))
+    n = sum(count for _, count in runs)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alphabet = SITE_BYTES + draw(ESCAPED_BYTES)
+    # Positions around one power of ten cross a digit-count change
+    # inside a run; wide ranges mix many widths.
+    k = draw(st.integers(0, 15))
+    positions = (np.maximum(10 ** k + rng.integers(-3, 4, n), 0)
+                 if draw(st.booleans()) else rng.integers(0, 10 ** k + 1, n))
+    top = plen if draw(st.booleans()) else min(plen, 3)
+    return HitColumns(
+        query, tuple(runs), positions,
+        rng.choice(np.frombuffer(b"+-", np.uint8), n),
+        rng.integers(0, top + 1, n),
+        rng.choice(np.frombuffer(alphabet, np.uint8), (n, plen)))
+
+
+class TestHitColumnsWire:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=column_cases())
+    def test_json_rows_equal_json_dumps(self, columns):
+        assert columns.json_rows() == \
+            json.dumps(wire_rows(columns)).encode()
+        chroms = [chrom for chrom, count in columns.runs
+                  for _ in range(count)]
+        assert field_tuple_rows(columns) == list(zip(
+            repeat(columns.query), chroms, columns.position.tolist(),
+            columns.strand.tobytes().decode(),
+            columns.mismatches.tolist(),
+            [row.tobytes().decode() for row in columns.sites]))
+
+    @pytest.mark.parametrize("positions,mismatches", [
+        (range(100, 140), [1] * 40),                  # fixed widths
+        (range(9_990, 10_030), range(40)),            # widths change
+        ([0] * 20 + [10 ** 15] * 20, [0, 99] * 20),
+    ])
+    def test_matrix_writer_padding(self, positions, mismatches):
+        """Rows past the small-list cutoff, whose numbers change digit
+        count inside one run and whose runs have heads of different
+        lengths, write json.dumps's bytes."""
+        for runs in ((("chr1", 40),),
+                     (("chr1", 15), ('c"h\u00e9', 25))):
+            columns = make_columns("ACGTN", runs, [
+                (pos, "+-"[i % 2], mm, b"ACGTa")
+                for i, (pos, mm) in enumerate(zip(positions,
+                                                  mismatches))])
+            assert len(columns) >= 32
+            raw = columns.json_rows()
+            assert columns._records is None, \
+                "the matrix writer builds no records"
+            assert raw == json.dumps(wire_rows(columns)).encode()
+
+    def test_empty(self):
+        assert HitColumns.empty("ACGT").json_rows() == b"[]"
+        assert make_columns("ACGT", (), []).json_rows() == b"[]"
+
+    def test_non_ascii_site_raises(self):
+        columns = make_columns("ACGT", (("c", 1),),
+                               [(0, "+", 0, b"AC\xe9T")])
+        with pytest.raises(UnicodeDecodeError):
+            columns.json_rows()
+        with pytest.raises(UnicodeDecodeError):
+            list(columns)
+
+    def test_render_rejects_non_ascii_site(self):
+        data = seq("ACGTACGT").copy()
+        data[1] = 0xE9
+        cq = compile_pattern("ACGT")
+        with pytest.raises(UnicodeDecodeError):
+            render_hits(data, "c", 0, Query("ACGT", 1), cq,
+                        *triple([0], [1], ["+"]))
+
+
+def field_tuple_rows(hits):
+    return [field_tuple(h) for h in hits]
+
+
+class TestHitColumnsSequence:
+    def columns(self):
+        return make_columns("ACGT", (("chr1", 2), ("chr2", 1)), [
+            (5, "+", 0, b"ACGT"), (17, "-", 2, b"AcgT"),
+            (3, "+", 1, b"aCGT")])
+
+    def records(self):
+        return [OffTargetHit("ACGT", "chr1", 5, "+", 0, "ACGT"),
+                OffTargetHit("ACGT", "chr1", 17, "-", 2, "AcgT"),
+                OffTargetHit("ACGT", "chr2", 3, "+", 1, "aCGT")]
+
+    def test_sequence_semantics(self):
+        columns, records = self.columns(), self.records()
+        assert len(columns) == 3
+        assert columns[-1] == records[-1] and columns[0] == records[0]
+        assert columns[1:] == records[1:]
+        assert list(columns) == records
+        assert columns == records and records == columns
+        assert columns != records[:2] and records[:2] != columns
+        assert columns == tuple(records)
+        assert records[1] in columns
+        for hit in columns:
+            assert type(hit) is OffTargetHit
+            assert type(hit.position) is int
+            assert type(hit.mismatches) is int
+        with pytest.raises(IndexError):
+            columns[3]
+
+    def test_records_built_once(self):
+        columns = self.columns()
+        assert columns[0] is columns[0]
+        assert next(iter(columns)) is columns[0]
+
+    def test_read_only(self):
+        columns = self.columns()
+        with pytest.raises(ValueError):
+            columns.position[0] = 1
+        with pytest.raises(TypeError):
+            hash(columns)
+
+    def test_concat_joins_in_order(self):
+        columns = self.columns()
+        tail = make_columns("ACGT", (("chr2", 1), ("chr3", 1)), [
+            (40, "+", 0, b"ACGT"), (1, "-", 1, b"ACGt")])
+        joined = HitColumns.concat(
+            "ACGT", [columns, HitColumns.empty("ACGT"), tail])
+        assert joined == list(columns) + list(tail)
+        assert joined.runs == (("chr1", 2), ("chr2", 2), ("chr3", 1))
+        assert HitColumns.concat("ACGT", [columns]) is columns
+        assert HitColumns.concat("ACGT", []) == []
+        with pytest.raises(ValueError):
+            HitColumns.concat("TTTT", [columns])
+
+    def test_select_keeps_order(self):
+        columns = make_columns("ACGT", (("chr1", 1), ("chr2", 1),
+                                        ("chr1", 1)), [
+            (5, "+", 0, b"ACGT"), (7, "+", 0, b"ACGT"),
+            (9, "-", 0, b"ACGT")])
+        assert [h.position for h in columns.select({"chr1"})] == [5, 9]
+        assert columns.select({"chr1", "chr2"}) is columns
+        assert columns.select({"chrX"}) == []
+        assert columns.select({"chr2"}).json_rows() == \
+            json.dumps(wire_rows(columns.select({"chr2"}))).encode()
+
+    def test_pickle_round_trip(self):
+        columns = self.columns()
+        list(columns)
+        back = pickle.loads(pickle.dumps(columns))
+        assert type(back) is HitColumns
+        assert back == columns and back.runs == columns.runs
+        assert back.json_rows() == columns.json_rows()

@@ -467,6 +467,19 @@ def sharded(index):
         yield shards
 
 
+def _serve_raw(serving, payload: bytes) -> bytes:
+    """The raw response line a fresh server over ``serving`` sends."""
+    handle = OffTargetServer(serving, max_batch=8,
+                             max_wait_ms=2.0).start_background()
+    try:
+        with socket.create_connection((handle.host, handle.port),
+                                      timeout=30) as sock:
+            sock.sendall(payload)
+            return sock.makefile("rb").readline()
+    finally:
+        handle.stop()
+
+
 class TestShardedSiteIndex:
     def test_matches_single_process_exactly(self, sharded, index):
         """The load-bearing invariant: scatter/gather over worker
@@ -520,19 +533,31 @@ class TestShardedSiteIndex:
         JSON response lines must match byte-for-byte."""
         payload = (b'{"op": "query", "queries": '
                    b'[["GACGTCNN", 3], ["TTACGANN", 2]], "id": 1}\n')
+        assert _serve_raw(sharded, payload) == _serve_raw(index, payload)
 
-        def _serve_one(serving) -> bytes:
-            handle = OffTargetServer(serving, max_batch=8,
-                                     max_wait_ms=2.0).start_background()
-            try:
-                with socket.create_connection(
-                        (handle.host, handle.port), timeout=30) as sock:
-                    sock.sendall(payload)
-                    return sock.makefile("rb").readline()
-            finally:
-                handle.stop()
-
-        assert _serve_one(sharded) == _serve_one(index)
+    @pytest.mark.parametrize("chromosomes", [None, "first"])
+    def test_served_bytes_are_json_dumps_of_query_batch(
+            self, sharded, index, chromosomes):
+        """The served line (single server and 2-shard server) is
+        ``json.dumps`` of the in-process query_batch wire rows."""
+        request = {"op": "query",
+                   "queries": [[q.sequence, q.max_mismatches]
+                               for q in QUERIES]}
+        keep = None
+        if chromosomes:
+            keep = {index.chromosomes[0]}
+            request["chromosomes"] = sorted(keep)
+        request["id"] = "raw"
+        rows = [[[h.query, h.chrom, h.position, h.site, h.strand,
+                  h.mismatches] for h in per
+                 if keep is None or h.chrom in keep]
+                for per in index.query_batch(QUERIES)]
+        assert sum(map(len, rows)) > 0
+        expected = json.dumps({"ok": True, "hits": rows,
+                               "id": "raw"}).encode() + b"\n"
+        payload = json.dumps(request).encode() + b"\n"
+        assert _serve_raw(index, payload) == expected
+        assert _serve_raw(sharded, payload) == expected
 
     def test_rejects_bad_shard_count(self, index):
         with pytest.raises(ValueError, match="shards"):
